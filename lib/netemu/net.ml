@@ -325,30 +325,41 @@ let getsockopt t fd name =
   let s = sock_of_fd t fd in
   Option.value ~default:0 (List.assoc_opt name s.options)
 
-let fds_of_sid t sid =
-  Hashtbl.fold (fun fd (s, _) acc -> if s = sid then fd :: acc else acc) t.st.fds []
-  |> List.sort compare
+type event = Idle | Accept | Read
+
+(* Readiness of one socket: a pending connection, data or EOF to read, or
+   nothing. *)
+let event s =
+  if s.listening && s.proto <> Udp && s.backlog <> [] then Accept
+  else
+    match (s.inbox, s.partial) with
+    | _ :: _, _ | _, Some _ -> Read
+    | [], None -> if s.eof_pending then Read else Idle
 
 let poll t =
   charge t Nyx_sim.Cost.real_syscall;
-  let ready =
+  let st = t.st in
+  (* The ready socket with the lowest id that still has a descriptor, at
+     its lowest fd: two scans of the fd table, no list built or sorted. *)
+  let sid =
     Hashtbl.fold
-      (fun sid s acc ->
-        let event =
-          if s.listening && s.proto <> Udp && s.backlog <> [] then Some `Accept
-          else if s.inbox <> [] || s.partial <> None || s.eof_pending then Some `Read
-          else None
-        in
-        match event with
-        | None -> acc
-        | Some ev -> (
-          match fds_of_sid t sid with [] -> acc | fd :: _ -> (sid, fd, ev) :: acc))
-      t.st.socks []
+      (fun _ (sid, _) best ->
+        if sid < best then
+          match Hashtbl.find st.socks sid with
+          | s -> if event s <> Idle then sid else best
+          | exception Not_found -> best
+        else best)
+      st.fds max_int
   in
-  match List.sort compare ready with
-  | [] -> None
-  | (_, fd, `Accept) :: _ -> Some (`Accept fd)
-  | (_, fd, `Read) :: _ -> Some (`Read fd)
+  if sid = max_int then None
+  else begin
+    let fd =
+      Hashtbl.fold (fun fd (s, _) best -> if s = sid && fd < best then fd else best) st.fds max_int
+    in
+    match event (Hashtbl.find st.socks sid) with
+    | Accept -> Some (`Accept fd)
+    | Read | Idle -> Some (`Read fd)
+  end
 
 let fork t =
   charge t Nyx_sim.Cost.fork;
@@ -434,17 +445,28 @@ let close_peer t fl =
   s.peer_open <- false;
   s.eof_pending <- true
 
+(* Flow [fl]'s replies in a newest-first queue, oldest first. This and
+   [drop_flow] take [fl] as an argument: local closures over it would
+   allocate on every [responses] call. *)
+let rec replies_of fl acc = function
+  | [] -> acc
+  | (f, d) :: rest -> replies_of fl (if f = fl then d :: acc else acc) rest
+
+(* The queue without flow [fl]'s replies, in the same order. *)
+let[@tail_mod_cons] rec drop_flow fl = function
+  | [] -> []
+  | ((f, _) as r) :: rest -> if f = fl then drop_flow fl rest else r :: drop_flow fl rest
+
 let responses t fl =
   let collect s =
-    let mine, rest = List.partition (fun (f, _) -> f = fl) (List.rev s.out_rev) in
-    s.out_rev <- List.rev rest;
-    List.map snd mine
+    let mine = replies_of fl [] s.out_rev in
+    s.out_rev <- drop_flow fl s.out_rev;
+    mine
   in
   (* The flow's own socket plus any UDP socket that replied via sendto. *)
-  match Hashtbl.find_opt t.st.flows fl with
-  | Some sid when Hashtbl.mem t.st.socks sid -> collect (Hashtbl.find t.st.socks sid)
-  | _ ->
-    Hashtbl.fold (fun _ s acc -> acc @ collect s) t.st.socks []
+  match Hashtbl.find t.st.socks (Hashtbl.find t.st.flows fl) with
+  | s -> collect s
+  | exception Not_found -> Hashtbl.fold (fun _ s acc -> acc @ collect s) t.st.socks []
 
 let outbound_flows t =
   Hashtbl.fold

@@ -1,21 +1,33 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in an 8-byte buffer: a mutable
+   [int64] field would box a fresh int64 on every step. Reads and writes
+   go through the native-endian primitives, and every draw below inlines
+   the step, so a draw allocates nothing. *)
+type t = { state : Bytes.t }
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let b = Bytes.create 8 in
+  set64 b 0 s;
+  { state = b }
+
+let create seed = of_state (Int64.of_int seed)
 
 (* splitmix64 step: one 64-bit output per call. *)
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline always] next_int64 t =
+  let z = Int64.add (get64 t.state 0) golden_gamma in
+  set64 t.state 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = next_int64 t }
+let split t = of_state (next_int64 t)
 
-let state t = t.state
-let set_state t s = t.state <- s
+let state t = get64 t.state 0
+let set_state t s = set64 t.state 0 s
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -30,7 +42,7 @@ let int_in t lo hi =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-let float t x =
+let[@inline] float t x =
   let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   x *. v /. 9007199254740992.0 (* 2^53 *)
 
@@ -62,13 +74,29 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
+(* Loops over local float refs rather than a fold and a recursive scan:
+   the accumulators then stay unboxed. Same additions in the same order. *)
 let weighted t pairs =
-  let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 pairs in
-  if total <= 0.0 then invalid_arg "Rng.weighted: non-positive total weight";
-  let target = float t total in
-  let rec pick acc = function
-    | [] -> invalid_arg "Rng.weighted: empty list"
-    | [ (x, _) ] -> x
-    | (x, w) :: rest -> if acc +. w > target then x else pick (acc +. w) rest
-  in
-  pick 0.0 pairs
+  let total = ref 0.0 and rest = ref pairs in
+  while
+    match !rest with
+    | (_, w) :: tl ->
+      total := !total +. w;
+      rest := tl;
+      true
+    | [] -> false
+  do () done;
+  if !total <= 0.0 then invalid_arg "Rng.weighted: non-positive total weight";
+  let target = float t !total in
+  let acc = ref 0.0 and rest = ref pairs in
+  while
+    match !rest with
+    | (_, w) :: (_ :: _ as tl) when not (!acc +. w > target) ->
+      acc := !acc +. w;
+      rest := tl;
+      true
+    | _ -> false
+  do () done;
+  match !rest with
+  | (x, _) :: _ -> x
+  | [] -> invalid_arg "Rng.weighted: empty list"

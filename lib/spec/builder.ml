@@ -13,17 +13,21 @@ let call t node_name ?(data = []) inputs =
   let expected = nt.Spec.borrows @ nt.Spec.consumes in
   if List.length inputs <> List.length expected then
     invalid_arg (Printf.sprintf "Builder.call %s: wrong arity" node_name);
-  List.iter2
-    (fun v e ->
-      if v.consumed then
+  let n_borrows = List.length nt.Spec.borrows in
+  (* Checked slot by slot, counting this call's own earlier consumes, so
+     one op cannot consume a value twice; a rejected call marks nothing. *)
+  let consumed_here = ref [] in
+  List.iteri
+    (fun i (v, e) ->
+      if v.consumed || List.memq v !consumed_here then
         invalid_arg (Printf.sprintf "Builder.call %s: value already consumed" node_name);
       if v.ty.Spec.et_id <> e.Spec.et_id then
         invalid_arg
           (Printf.sprintf "Builder.call %s: expected %s, got %s" node_name
-             e.Spec.et_name v.ty.Spec.et_name))
-    inputs expected;
-  let n_borrows = List.length nt.Spec.borrows in
-  List.iteri (fun i v -> if i >= n_borrows then v.consumed <- true) inputs;
+             e.Spec.et_name v.ty.Spec.et_name);
+      if i >= n_borrows then consumed_here := v :: !consumed_here)
+    (List.combine inputs expected);
+  List.iter (fun v -> v.consumed <- true) !consumed_here;
   let data_fields =
     List.mapi
       (fun i (dt : Spec.data_ty) ->

@@ -69,6 +69,12 @@ let push env v =
   env.values.(env.n) <- v;
   env.n <- env.n + 1
 
+let rec push_all env = function
+  | [] -> ()
+  | v :: rest ->
+    push env v;
+    push_all env rest
+
 (* Runtime assertions of the verifier's facts (sanitizer mode). These are
    conditions [Program.validate] + the mutator's invariants should make
    unreachable; a Violation here means a bug upstream, not a bad input. *)
@@ -107,12 +113,16 @@ let exec_op (p : Program.t) h env i =
   | None -> ());
   if nt.Spec.nt_id = Spec.snapshot_node_id then h.snapshot ()
   else begin
-    let inputs = Array.to_list (Array.map (fun idx -> env.values.(idx)) op.Program.args) in
-    let outputs = h.exec nt inputs op.Program.data in
+    let args = op.Program.args in
+    let inputs = ref [] in
+    for j = Array.length args - 1 downto 0 do
+      inputs := env.values.(args.(j)) :: !inputs
+    done;
+    let outputs = h.exec nt !inputs op.Program.data in
     if List.length outputs <> List.length nt.Spec.outputs then
       invalid_arg (Printf.sprintf "Interp: handler for %s returned wrong output count"
                      nt.Spec.nt_name);
-    List.iter (push env) outputs
+    push_all env outputs
   end
 
 let run ?sanitize ?(from = 0) ?until ?env (p : Program.t) h =

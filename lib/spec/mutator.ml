@@ -4,12 +4,18 @@ open Nyx_sim
    any non-snapshot node. *)
 let random_node rng spec =
   let all = Spec.nodes spec in
-  let candidates =
-    Array.of_seq
-      (Seq.filter (fun (nt : Spec.node_ty) -> nt.Spec.nt_id <> Spec.snapshot_node_id)
-         (Array.to_seq all))
-  in
-  if Array.length candidates = 0 then None else Some (Rng.choose rng candidates)
+  let is_candidate (nt : Spec.node_ty) = nt.Spec.nt_id <> Spec.snapshot_node_id in
+  let k = Array.fold_left (fun k nt -> if is_candidate nt then k + 1 else k) 0 all in
+  if k = 0 then None
+  else begin
+    (* The [r]-th candidate: the draw [Rng.choose] makes over them. *)
+    let r = ref (Rng.int rng k) and i = ref 0 in
+    while not (is_candidate all.(!i)) || !r > 0 do
+      if is_candidate all.(!i) then decr r;
+      incr i
+    done;
+    Some all.(!i)
+  end
 
 let fresh_op rng spec =
   match random_node rng spec with
@@ -37,64 +43,84 @@ let havoc_op rng dict (op : Program.op) spec =
     { op with Program.data }
   end
 
+(* Stands in for unused slots of the suffix buffer below. *)
+let filler = { Program.node = Spec.snapshot_node_id; args = [||]; data = [||] }
+
 let mutate rng ?(frozen = 0) ?(max_ops = 24) ?(dict = []) ?(corpus = [||]) (p : Program.t) =
-  let frozen = min frozen (Array.length p.Program.ops) in
-  let prefix = Array.sub p.Program.ops 0 frozen in
-  let suffix = ref (Array.to_list (Array.sub p.Program.ops frozen
-                                     (Array.length p.Program.ops - frozen))) in
+  let ops = p.Program.ops in
+  let frozen = min frozen (Array.length ops) in
+  (* The mutable suffix, edited in place in a growable buffer: [buf.(0)]
+     … [buf.(!n - 1)]. *)
+  let buf = ref (Array.make (max 8 (2 * (Array.length ops - frozen))) filler) in
+  let n = ref 0 in
+  let reserve extra =
+    if !n + extra > Array.length !buf then begin
+      let bigger = Array.make (max (!n + extra) (2 * Array.length !buf)) filler in
+      Array.blit !buf 0 bigger 0 !n;
+      buf := bigger
+    end
+  in
+  let push op =
+    reserve 1;
+    !buf.(!n) <- op;
+    incr n
+  in
   (* Drop stray snapshot ops from the mutable region; policies re-inject. *)
-  suffix := List.filter (fun op -> op.Program.node <> Spec.snapshot_node_id) !suffix;
+  for i = frozen to Array.length ops - 1 do
+    if ops.(i).Program.node <> Spec.snapshot_node_id then push ops.(i)
+  done;
   let n_rounds = 1 + Rng.int rng 4 in
   for _ = 1 to n_rounds do
-    let ops = Array.of_list !suffix in
-    let n = Array.length ops in
+    let len = !n in
     let choice = Rng.weighted rng
         [ (`Havoc, 5.0); (`Dup, 1.0); (`Del, 1.0); (`Swap, 1.0); (`Splice, 1.5); (`Append, 1.0) ]
     in
-    suffix :=
-      (match choice with
-      | `Havoc when n > 0 ->
-        let i = Rng.int rng n in
-        Array.to_list (Array.mapi (fun j op ->
-            if j = i then havoc_op rng dict op p.Program.spec else op) ops)
-      | `Dup when n > 0 ->
-        let i = Rng.int rng n in
-        let rec insert j = function
-          | [] -> []
-          | op :: rest -> if j = i then op :: op :: rest else op :: insert (j + 1) rest
-        in
-        insert 0 !suffix
-      | `Del when n > 1 ->
-        let i = Rng.int rng n in
-        List.filteri (fun j _ -> j <> i) !suffix
-      | `Swap when n > 1 ->
-        let i = Rng.int rng (n - 1) in
-        let a = ops.(i) in
-        ops.(i) <- ops.(i + 1);
-        ops.(i + 1) <- a;
-        Array.to_list ops
-      | `Splice when Array.length corpus > 0 ->
-        let donor = Rng.choose rng corpus in
-        let donor_ops =
-          Array.to_list donor.Program.ops
-          |> List.filter (fun op -> op.Program.node <> Spec.snapshot_node_id)
-        in
-        let keep = if n = 0 then 0 else Rng.int rng (n + 1) in
-        let dlen = List.length donor_ops in
-        let from = if dlen = 0 then 0 else Rng.int rng dlen in
-        List.filteri (fun j _ -> j < keep) !suffix
-        @ List.filteri (fun j _ -> j >= from) donor_ops
-      | `Append -> (
-        match fresh_op rng p.Program.spec with
-        | Some op -> !suffix @ [ op ]
-        | None -> !suffix)
-      | _ -> !suffix)
+    match choice with
+    | `Havoc when len > 0 ->
+      let i = Rng.int rng len in
+      !buf.(i) <- havoc_op rng dict !buf.(i) p.Program.spec
+    | `Dup when len > 0 ->
+      let i = Rng.int rng len in
+      reserve 1;
+      let b = !buf in
+      Array.blit b i b (i + 1) (len - i);
+      incr n
+    | `Del when len > 1 ->
+      let i = Rng.int rng len in
+      let b = !buf in
+      Array.blit b (i + 1) b i (len - i - 1);
+      decr n
+    | `Swap when len > 1 ->
+      let i = Rng.int rng (len - 1) in
+      let b = !buf in
+      let a = b.(i) in
+      b.(i) <- b.(i + 1);
+      b.(i + 1) <- a
+    | `Splice when Array.length corpus > 0 ->
+      let donor = (Rng.choose rng corpus).Program.ops in
+      let keep = if len = 0 then 0 else Rng.int rng (len + 1) in
+      let dlen = ref 0 in
+      Array.iter (fun op -> if op.Program.node <> Spec.snapshot_node_id then incr dlen) donor;
+      let from = if !dlen = 0 then 0 else Rng.int rng !dlen in
+      (* Keep [keep] ops, then the donor's non-snapshot ops from the
+         [from]-th on. *)
+      n := keep;
+      let j = ref 0 in
+      Array.iter
+        (fun op ->
+          if op.Program.node <> Spec.snapshot_node_id then begin
+            if !j >= from then push op;
+            incr j
+          end)
+        donor
+    | `Append -> (
+      match fresh_op rng p.Program.spec with Some op -> push op | None -> ())
+    | _ -> ()
   done;
   (* Cap total length: keep the frozen prefix, trim the suffix tail. *)
-  let room = max 0 (max_ops - Array.length prefix) in
-  if List.length !suffix > room then
-    suffix := List.filteri (fun i _ -> i < room) !suffix;
-  let candidate =
-    { p with Program.ops = Array.append prefix (Array.of_list !suffix) }
-  in
-  Program.repair ~rng candidate
+  let room = max 0 (max_ops - frozen) in
+  let len = min !n room in
+  let out = Array.make (frozen + len) filler in
+  Array.blit ops 0 out 0 frozen;
+  Array.blit !buf 0 out frozen len;
+  Program.repair ~rng { p with Program.ops = out }

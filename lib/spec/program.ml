@@ -23,6 +23,7 @@ let validate t =
             raise (Bad "snapshot opcode carries no args or data")
         end;
         let inputs = op_inputs nt in
+        let n_borrows = List.length nt.borrows in
         if Array.length op.args <> List.length inputs then
           raise (Bad (Printf.sprintf "op %d (%s): wrong arity" opi nt.nt_name));
         List.iteri
@@ -39,16 +40,11 @@ let validate t =
               raise
                 (Bad
                    (Printf.sprintf "op %d (%s): arg %d has type %s, expected %s" opi
-                      nt.nt_name i ty.et_name expected.et_name)))
+                      nt.nt_name i ty.et_name expected.et_name));
+            (* Mark slot by slot, as the sanitizer does: an op may not
+               consume one value twice. *)
+            if i >= n_borrows then consumed := true)
           inputs;
-        (* Mark consumed inputs. *)
-        let n_borrows = List.length nt.borrows in
-        List.iteri
-          (fun i _ ->
-            let idx = op.args.(n_borrows + i) in
-            let _, _, consumed = List.find (fun (v, _, _) -> v = idx) !value_types in
-            consumed := true)
-          nt.consumes;
         if Array.length op.data <> List.length nt.data then
           raise (Bad (Printf.sprintf "op %d (%s): wrong data field count" opi nt.nt_name));
         List.iteri
@@ -92,110 +88,137 @@ let with_snapshot_at t i =
   in
   { t with ops }
 
+(* [repair] keeps its value pool in arrays. Values are numbered in push
+   order, so "available, newest first" is indices [n-1 … 0] minus the
+   consumed ones. [mark.(v)] is [consumed] once a kept op consumed [v],
+   and the binding op's stamp while one of its consume slots holds [v];
+   any other value is free (stale stamps belong to dropped ops). *)
+let consumed = -1
+
+let rec data_fits data i = function
+  | [] -> true
+  | (dt : Spec.data_ty) :: rest ->
+    Bytes.length data.(i) <= dt.Spec.max_len && data_fits data (i + 1) rest
+
 let repair ?rng t =
   let open Spec in
-  let available = ref [] (* (value index, edge_ty), newest first, unconsumed *) in
+  let ops = t.ops in
+  let n_ops = Array.length ops in
+  let cap = ref 1 in
+  for i = 0 to n_ops - 1 do
+    match Spec.node t.spec ops.(i).node with
+    | exception Invalid_argument _ -> ()
+    | nt -> cap := !cap + List.length nt.outputs
+  done;
+  let vty = Array.make !cap 0 (* edge type id of each value *) in
+  let mark = Array.make !cap 0 in
   let n_values = ref 0 in
-  let out = ref [] in
-  let pick ty =
-    let candidates = List.filter (fun (_, et) -> et.et_id = ty.et_id) !available in
-    match candidates with
-    | [] -> None
-    | first :: _ -> (
-      match rng with
-      | None -> Some (fst first)
-      | Some rng -> Some (fst (Nyx_sim.Rng.choose_list rng candidates)))
+  let usable stamp ty v =
+    v >= 0 && v < !n_values && vty.(v) = ty && mark.(v) <> consumed && mark.(v) <> stamp
   in
-  Array.iter
-    (fun op ->
-      match Spec.node t.spec op.node with
-      | exception Invalid_argument _ -> () (* unknown opcode: drop *)
-      | nt ->
-        let inputs = op_inputs nt in
-        let n_borrows = List.length nt.borrows in
-        (* Try to keep existing bindings when they are still valid, fixing
-           only the broken ones. Consumed slots must bind distinct values. *)
-        let chosen = ref [] in
-        let consumed_here = ref [] in
-        let ok =
-          List.for_all
-            (fun (i, expected) ->
-              let is_consume = i >= n_borrows in
-              let usable v =
-                List.exists (fun (v', et) -> v' = v && et.et_id = expected.et_id) !available
-                && not (List.mem v !consumed_here)
-              in
-              let current = if i < Array.length op.args then op.args.(i) else -1 in
-              let binding =
-                if usable current then Some current
-                else
-                  match pick expected with
-                  | Some v when usable v -> Some v
-                  | _ ->
-                    (* The random pick may collide with a value consumed by
-                       an earlier slot of this op; fall back to the newest
-                       usable one. *)
-                    List.find_opt (fun (v, _) -> usable v) !available
-                    |> Option.map fst
-              in
-              match binding with
-              | None -> false
-              | Some v ->
-                chosen := !chosen @ [ v ];
-                if is_consume then consumed_here := v :: !consumed_here;
-                true)
-            (List.mapi (fun i e -> (i, e)) inputs)
-        in
-        if ok then begin
-          let args = Array.of_list !chosen in
-          (* Consumed values leave the available pool. *)
-          let n_borrows = List.length nt.borrows in
-          List.iteri
-            (fun i _ ->
-              let v = args.(n_borrows + i) in
-              available := List.filter (fun (v', _) -> v' <> v) !available)
-            nt.consumes;
-          let data =
+  (* The [r]-th newest unconsumed value of type [ty]. *)
+  let rec nth_newest ty r v =
+    if vty.(v) = ty && mark.(v) <> consumed then
+      if r = 0 then v else nth_newest ty (r - 1) (v - 1)
+    else nth_newest ty r (v - 1)
+  in
+  (* Bound args of the op being repaired: its own array until the first
+     slot that changes, a fresh copy from then on. *)
+  let args = ref [||] and fresh = ref false in
+  let bind (op : op) stamp slot (expected : edge_ty) is_consume =
+    let ty = expected.et_id in
+    let current = if slot < Array.length op.args then op.args.(slot) else -1 in
+    let v =
+      if usable stamp ty current then current
+      else begin
+        let k = ref 0 in
+        for v = 0 to !n_values - 1 do
+          if vty.(v) = ty && mark.(v) <> consumed then incr k
+        done;
+        if !k = 0 then -1
+        else begin
+          let r = match rng with None -> 0 | Some rng -> Nyx_sim.Rng.int rng !k in
+          let picked = nth_newest ty r (!n_values - 1) in
+          if usable stamp ty picked then picked
+          else begin
+            (* The random pick may collide with a value consumed by an
+               earlier slot of this op; fall back to the newest usable one. *)
+            let v = ref (!n_values - 1) in
+            while !v >= 0 && not (usable stamp ty !v) do decr v done;
+            !v
+          end
+        end
+      end
+    in
+    if v < 0 then false
+    else begin
+      if !fresh then !args.(slot) <- v
+      else if op.args.(slot) <> v then begin
+        let a = Array.copy op.args in
+        a.(slot) <- v;
+        args := a;
+        fresh := true
+      end;
+      if is_consume then mark.(v) <- stamp;
+      true
+    end
+  in
+  let rec bind_all op stamp slot is_consume = function
+    | [] -> true
+    | e :: rest ->
+      bind op stamp slot e is_consume && bind_all op stamp (slot + 1) is_consume rest
+  in
+  let rec push_outputs = function
+    | [] -> ()
+    | ty :: rest ->
+      vty.(!n_values) <- ty.et_id;
+      incr n_values;
+      push_outputs rest
+  in
+  let out = if n_ops = 0 then [||] else Array.make n_ops ops.(0) in
+  let n_out = ref 0 in
+  let seen_snapshot = ref false in
+  for i = 0 to n_ops - 1 do
+    let op = ops.(i) in
+    match Spec.node t.spec op.node with
+    | exception Invalid_argument _ -> () (* unknown opcode: drop *)
+    | nt when nt.nt_id = Spec.snapshot_node_id && !seen_snapshot ->
+      () (* at most one snapshot: keep the first *)
+    | nt ->
+      let stamp = i + 1 in
+      let n_borrows = List.length nt.borrows in
+      let arity = n_borrows + List.length nt.consumes in
+      (* Keep existing bindings that are still valid, fixing only the
+         broken ones. Consumed slots must bind distinct values. *)
+      args := op.args;
+      fresh := Array.length op.args <> arity;
+      if !fresh then args := Array.make arity 0;
+      if bind_all op stamp 0 false nt.borrows && bind_all op stamp n_borrows true nt.consumes
+      then begin
+        let args = !args in
+        (* Consumed values leave the pool. *)
+        for slot = n_borrows to arity - 1 do
+          mark.(args.(slot)) <- consumed
+        done;
+        let data =
+          if Array.length op.data = List.length nt.data && data_fits op.data 0 nt.data
+          then op.data
+          else
             Array.of_list
               (List.mapi
                  (fun i dt ->
                    let d = if i < Array.length op.data then op.data.(i) else Bytes.empty in
                    if Bytes.length d > dt.max_len then Bytes.sub d 0 dt.max_len else d)
                  nt.data)
-          in
-          List.iter
-            (fun ty ->
-              available := (!n_values, ty) :: !available;
-              incr n_values)
-            nt.outputs;
-          out := { node = op.node; args; data } :: !out
-        end
-        else
-          (* Op dropped: still account for the values it would have produced
-             so later indices stay consistent? No — later args are rebound
-             against the real pool, so nothing else is needed. *)
-          ())
-    t.ops;
-  let repaired = { t with ops = Array.of_list (List.rev !out) } in
-  (* Deduplicate snapshot ops: keep the first. *)
-  match validate repaired with
-  | Ok () -> repaired
-  | Error _ ->
-    let seen_snapshot = ref false in
-    let ops =
-      Array.of_seq
-        (Seq.filter
-           (fun op ->
-             if op.node = Spec.snapshot_node_id then
-               if !seen_snapshot then false
-               else begin
-                 seen_snapshot := true;
-                 true
-               end
-             else true)
-           (Array.to_seq repaired.ops))
-    in
-    { repaired with ops }
+        in
+        push_outputs nt.outputs;
+        if nt.nt_id = Spec.snapshot_node_id then seen_snapshot := true;
+        out.(!n_out) <-
+          (if args == op.args && data == op.data then op else { node = op.node; args; data });
+        incr n_out
+      end
+  done;
+  { t with ops = (if !n_out = n_ops then out else Array.sub out 0 !n_out) }
 
 (* Wire format *)
 

@@ -53,21 +53,27 @@ let write_sector t sector data =
 
 let dirty_sectors t = Hashtbl.length t.overlay
 
+(* Restores empty the running overlay in place ([Hashtbl.reset] keeps an
+   initial-size table's buckets) instead of allocating a fresh table. *)
 let discard_overlays t =
-  t.overlay <- Hashtbl.create 64;
+  Hashtbl.reset t.overlay;
   t.incremental <- None
 
 let freeze_incremental t =
-  (match t.incremental with
-  | None -> t.incremental <- Some t.overlay
+  match t.incremental with
+  | None ->
+    (* The overlay becomes the incremental layer; start a new one, so the
+       two never alias. *)
+    t.incremental <- Some t.overlay;
+    t.overlay <- Hashtbl.create 64
   | Some inc ->
     (* A second freeze merges the running overlay into the incremental
        layer: newer sectors win. *)
-    Hashtbl.iter (fun k v -> Hashtbl.replace inc k v) t.overlay);
-  t.overlay <- Hashtbl.create 64
+    Hashtbl.iter (fun k v -> Hashtbl.replace inc k v) t.overlay;
+    Hashtbl.reset t.overlay
 
-let reset_to_incremental t = t.overlay <- Hashtbl.create 64
+let reset_to_incremental t = Hashtbl.reset t.overlay
 
 let drop_incremental t =
   t.incremental <- None;
-  t.overlay <- Hashtbl.create 64
+  Hashtbl.reset t.overlay

@@ -1,0 +1,201 @@
+(* Reference implementations of hot-path functions, kept to check their
+   allocation-lean replacements in lib/ against. Each is the earlier
+   straightforward version, unchanged apart from module paths. *)
+
+open Nyx_spec
+
+(* [Program.repair] over lists: O(n²) filters and appends, then a full
+   [Program.validate] whose only possible failure is a second snapshot. *)
+let repair ?rng (t : Program.t) =
+  let open Spec in
+  let available = ref [] (* (value index, edge_ty), newest first, unconsumed *) in
+  let n_values = ref 0 in
+  let out = ref [] in
+  let pick ty =
+    let candidates = List.filter (fun (_, et) -> et.et_id = ty.et_id) !available in
+    match candidates with
+    | [] -> None
+    | first :: _ -> (
+      match rng with
+      | None -> Some (fst first)
+      | Some rng -> Some (fst (Nyx_sim.Rng.choose_list rng candidates)))
+  in
+  Array.iter
+    (fun (op : Program.op) ->
+      match Spec.node t.spec op.node with
+      | exception Invalid_argument _ -> ()
+      | nt ->
+        let inputs = nt.borrows @ nt.consumes in
+        let n_borrows = List.length nt.borrows in
+        let chosen = ref [] in
+        let consumed_here = ref [] in
+        let ok =
+          List.for_all
+            (fun (i, expected) ->
+              let is_consume = i >= n_borrows in
+              let usable v =
+                List.exists (fun (v', et) -> v' = v && et.et_id = expected.et_id) !available
+                && not (List.mem v !consumed_here)
+              in
+              let current = if i < Array.length op.args then op.args.(i) else -1 in
+              let binding =
+                if usable current then Some current
+                else
+                  match pick expected with
+                  | Some v when usable v -> Some v
+                  | _ -> List.find_opt (fun (v, _) -> usable v) !available |> Option.map fst
+              in
+              match binding with
+              | None -> false
+              | Some v ->
+                chosen := !chosen @ [ v ];
+                if is_consume then consumed_here := v :: !consumed_here;
+                true)
+            (List.mapi (fun i e -> (i, e)) inputs)
+        in
+        if ok then begin
+          let args = Array.of_list !chosen in
+          List.iteri
+            (fun i _ ->
+              let v = args.(n_borrows + i) in
+              available := List.filter (fun (v', _) -> v' <> v) !available)
+            nt.consumes;
+          let data =
+            Array.of_list
+              (List.mapi
+                 (fun i dt ->
+                   let d = if i < Array.length op.data then op.data.(i) else Bytes.empty in
+                   if Bytes.length d > dt.max_len then Bytes.sub d 0 dt.max_len else d)
+                 nt.data)
+          in
+          List.iter
+            (fun ty ->
+              available := (!n_values, ty) :: !available;
+              incr n_values)
+            nt.outputs;
+          out := { Program.node = op.node; args; data } :: !out
+        end)
+    t.ops;
+  let repaired = { t with ops = Array.of_list (List.rev !out) } in
+  match Program.validate repaired with
+  | Ok () -> repaired
+  | Error _ ->
+    let seen_snapshot = ref false in
+    let ops =
+      Array.of_seq
+        (Seq.filter
+           (fun (op : Program.op) ->
+             if op.node = Spec.snapshot_node_id then
+               if !seen_snapshot then false
+               else begin
+                 seen_snapshot := true;
+                 true
+               end
+             else true)
+           (Array.to_seq repaired.ops))
+    in
+    { repaired with ops }
+
+(* A mirror of [Nyx_netemu.Net]'s private representation, field for
+   field, so the reference [poll] and [responses] below can work on the
+   socket and fd tables. [mirror_ok] cross-checks the mirror against
+   Net's public counters; a layout drift fails it before any comparison. *)
+module Net_mirror = struct
+  open Nyx_netemu
+
+  type sock = {
+    sid : int;
+    proto : Net.proto;
+    mutable port : int;
+    mutable listening : bool;
+    mutable backlog : int list;
+    mutable inbox : (int * Bytes.t) list;
+    mutable partial : (int * Bytes.t) option;
+    mutable out_rev : (int * Bytes.t) list;
+    mutable peer_open : bool;
+    mutable eof_pending : bool;
+    mutable refcount : int;
+    mutable conn_flow : int;
+    mutable reply_flow : int;
+    mutable write_shut : bool;
+    mutable options : (string * int) list;
+    mutable outbound : bool;
+  }
+
+  type state = {
+    socks : (int, sock) Hashtbl.t;
+    fds : (int, int * int) Hashtbl.t;
+    flows : (int, int) Hashtbl.t;
+    listeners : (int, int) Hashtbl.t;
+    mutable next_fd : int;
+    mutable next_sid : int;
+    mutable next_flow : int;
+    mutable processes : int;
+    mutable syscalls : int;
+  }
+
+  type t = {
+    mutable st : state;
+    clock : Nyx_sim.Clock.t;
+    backend : Net.backend;
+    boundaries : bool;
+  }
+
+  let view (net : Net.t) : t = Obj.magic net
+
+  (* Besides the counters, every socket must be a record of [sock]'s 16
+     fields filed under its own id, so a change to Net's [sock] layout
+     fails here rather than misreading fields. *)
+  let mirror_ok net =
+    let m = view net in
+    Obj.size (Obj.repr m) = 4
+    && Obj.size (Obj.repr m.st) = 9
+    && Hashtbl.length m.st.socks = Net.open_socket_count net
+    && m.st.syscalls = Net.syscall_count net
+    && m.backend = Net.backend net
+    && Hashtbl.fold
+         (fun sid s ok -> ok && Obj.size (Obj.repr s) = 16 && s.sid = sid)
+         m.st.socks true
+
+  let fds_of_sid st sid =
+    Hashtbl.fold (fun fd (s, _) acc -> if s = sid then fd :: acc else acc) st.fds []
+    |> List.sort compare
+
+  (* [Net.poll]'s answer, without its syscall charge: every ready socket
+     with a descriptor as (sid, lowest fd, event), sorted. *)
+  let poll net =
+    let st = (view net).st in
+    let ready =
+      Hashtbl.fold
+        (fun sid s acc ->
+          let event =
+            if s.listening && s.proto <> Net.Udp && s.backlog <> [] then Some `Accept
+            else if s.inbox <> [] || s.partial <> None || s.eof_pending then Some `Read
+            else None
+          in
+          match event with
+          | None -> acc
+          | Some ev -> (
+            match fds_of_sid st sid with [] -> acc | fd :: _ -> (sid, fd, ev) :: acc))
+        st.socks []
+    in
+    match List.sort compare ready with
+    | [] -> None
+    | (_, fd, `Accept) :: _ -> Some (`Accept fd)
+    | (_, fd, `Read) :: _ -> Some (`Read fd)
+
+  (* [Net.responses]: partition the whole queue on every call. *)
+  let responses net fl =
+    let st = (view net).st in
+    let collect s =
+      let mine, rest = List.partition (fun (f, _) -> f = fl) (List.rev s.out_rev) in
+      s.out_rev <- List.rev rest;
+      List.map snd mine
+    in
+    match Hashtbl.find_opt st.flows fl with
+    | Some sid when Hashtbl.mem st.socks sid -> collect (Hashtbl.find st.socks sid)
+    | _ -> Hashtbl.fold (fun _ s acc -> acc @ collect s) st.socks []
+
+  (* The kernel image snapshots capture. *)
+  let image net = Marshal.to_bytes (view net).st []
+end

@@ -277,6 +277,69 @@ let prop_boundary_sequence =
        with Net.Would_block _ -> ());
       List.rev !received = packets)
 
+(* Random socket/fd tables: a script of hooked calls and peer actions
+   over small pools of ports, fds and flows, run on two identical stacks
+   in lockstep. After every step, [Net.poll] must match the reference
+   scan; [Net.responses] on one stack must match the reference drain on
+   the other, leaving byte-identical kernel images. *)
+module Mirror = Reference.Net_mirror
+
+let script_gen =
+  QCheck.Gen.(list_size (int_range 1 60) (triple (int_bound 15) small_nat small_nat))
+
+let run_script script =
+  let a, _ = mk () and b, _ = mk () in
+  let fds = ref [] and flows = ref [] in
+  let pick l i = match l with [] -> -1 | _ -> List.nth l (i mod List.length l) in
+  let add r v = if not (List.mem v !r) then r := !r @ [ v ] in
+  let on_both f =
+    let ra = try Some (f a) with _ -> None in
+    let rb = try Some (f b) with _ -> None in
+    ra = rb
+  in
+  let step (k, i, j) =
+    let fd = pick !fds i and fl = pick !flows i in
+    let port = 1 + (j mod 3) in
+    let payload = Bytes.make (j mod 5) 'x' in
+    match k with
+    | 0 -> on_both (fun n -> add fds (Net.socket n (if j mod 2 = 0 then Net.Tcp else Net.Udp)))
+    | 1 -> on_both (fun n -> Net.bind n fd port)
+    | 2 -> on_both (fun n -> Net.listen n fd)
+    | 3 -> on_both (fun n -> Option.iter (add flows) (Net.connect_peer n ~port))
+    | 4 -> on_both (fun n -> Net.send_peer n fl payload)
+    | 5 ->
+      on_both (fun n ->
+          Option.iter (add flows)
+            (Net.udp_send_peer n ~port ?flow:(if j mod 2 = 0 then None else Some fl) payload))
+    | 6 -> on_both (fun n -> add fds (Net.accept n fd))
+    | 7 -> on_both (fun n -> add fds (Net.dup n fd))
+    | 8 -> on_both (fun n -> ignore (Net.fork n))
+    | 9 -> on_both (fun n -> Net.close n fd)
+    | 10 -> on_both (fun n -> Net.shutdown n fd (if j mod 2 = 0 then `Read else `Write))
+    | 11 -> on_both (fun n -> Net.close_peer n fl)
+    | 12 -> on_both (fun n -> ignore (Net.recvfrom n fd ~max:(1 + (j mod 4))))
+    | 13 -> on_both (fun n -> ignore (Net.send n fd payload))
+    | 14 -> on_both (fun n -> ignore (Net.sendto n fd fl payload))
+    | _ ->
+      let got = try Some (Net.responses a fl) with _ -> None in
+      let expected = try Some (Mirror.responses b fl) with _ -> None in
+      got = expected
+  in
+  List.for_all
+    (fun s ->
+      (* The mirror's layout check comes before each use of the mirror. *)
+      Mirror.mirror_ok b && step s && Mirror.mirror_ok a
+      && (let expected = Mirror.poll a in
+          let got = Net.poll a in
+          ignore (Net.poll b);
+          got = expected)
+      && Bytes.equal (Mirror.image a) (Mirror.image b))
+    script
+
+let prop_poll_responses_match_reference =
+  QCheck.Test.make ~name:"poll and responses == reference on random tables" ~count:500
+    (QCheck.make script_gen) run_script
+
 let () =
   Alcotest.run "nyx_netemu"
     [
@@ -316,5 +379,6 @@ let () =
           Alcotest.test_case "listening ports" `Quick test_listening_ports;
           Alcotest.test_case "backend costs" `Quick test_costs_differ_by_backend;
           Alcotest.test_case "snapshot roundtrip" `Quick test_snapshot_roundtrip;
+          QCheck_alcotest.to_alcotest prop_poll_responses_match_reference;
         ] );
     ]

@@ -73,6 +73,54 @@ let test_rng_weighted () =
   Alcotest.(check bool) "b dominates" true (get "b" > get "a" && get "b" > get "c");
   Alcotest.(check bool) "all present" true (get "a" > 0 && get "c" > 0)
 
+(* The splitmix64 stream, pinned: draws of every kind and the states
+   [Rng.state] reports, rendered as text. The expected lines were
+   produced by the boxed-[int64] generator this one replaced; a
+   checkpoint saved by either resumes identically in the other. *)
+let rng_golden =
+  [
+    {|seed 0 ints [823; 7206; 14179; 15868; 11631; 1426408582835774186] bools [true; false; true; false; true; false] floats [0x1.4f54109fb1d5ap+2; 0x1.634ea555fc92ap+2; 0x1.c54325b701febp+2] bytes "\171U\134d\172\215" weighted [1; 3; 0; 3; 0; 0] state 5625365687987180108L split 4670970265874846992L|};
+    {|seed 1 ints [657; 6926; 18108; 15585; 15105; 237859547582366336] bools [true; true; false; false; true; false] floats [0x1.232906d9bd29ep+2; 0x1.534024986a1b1p+2; 0x1.17049234163ecp+2] bytes ";c\241\238\bF" weighted [0; 0; 0; 0; 0; 0] state 5625365687987180109L split -5279996746373662805L|};
+    {|seed 7 ints [583; 8511; 16638; 16; 7078; 4601199455465548305] bools [false; false; true; true; true; false] floats [0x1.25c42a171cd72p+3; 0x1.16d37f6dcbc1cp+3; 0x1.147b81f84e36dp+3] bytes "\248\175\1995\248/" weighted [0; 0; 0; 3; 3; 0] state 5625365687987180115L split 7508637138623878239L|};
+    {|seed 42 ints [605; 6877; 17912; 16868; 5390; 2180923070380825350] bools [true; false; true; false; true; false] floats [0x1.4892d1d7be1bap+2; 0x1.4ccefaa033d18p+2; 0x1.a9b3b7c60742dp+2] bytes "\242u\029\007`\232" weighted [0; 1; 1; 0; 0; 2] state 5625365687987180150L split -3956836574347814625L|};
+    {|seed 20261017 ints [799; 3215; 6653; 12295; 931; 3421845587441949759] bools [true; false; false; true; false; false] floats [0x1.2d32ac0690df3p+2; 0x1.33e1a189b1a3p+2; 0x1.dd01e4894eb27p+2] bytes "<w\133\237b[" weighted [1; 0; 0; 2; 0; 0] state 5625365688007441125L split 6281040659297271702L|};
+    {|seed -3 ints [821; 10153; 15023; 25125; 24831; 589125513075409766] bools [true; true; false; true; true; true] floats [0x1.9c3f0dfa47362p-1; 0x1.08dbbd3425242p+2; 0x1.19ec42487dd0bp+3] bytes "\248\224{\240\158\204" weighted [0; 1; 3; 0; 0; 3] state 5625365687987180105L split -6909126590030038622L|};
+  ]
+
+let render_draws seed =
+  let r = Rng.create seed in
+  let ints = List.init 6 (fun i -> Rng.int r (if i = 5 then max_int else 1000 + (i * 9973))) in
+  let bools = List.init 6 (fun _ -> Rng.bool r) in
+  let floats = List.init 3 (fun _ -> Rng.float r 10.0) in
+  let bytes = Bytes.to_string (Rng.bytes r 6) in
+  let picks =
+    List.init 6 (fun _ -> Rng.weighted r [ (0, 5.0); (1, 1.0); (2, 1.0); (3, 1.5) ])
+  in
+  let child = Rng.split r in
+  let ints_s l = String.concat "; " (List.map string_of_int l) in
+  Printf.sprintf
+    "seed %d ints [%s] bools [%s] floats [%s] bytes %S weighted [%s] state %LdL split %LdL"
+    seed (ints_s ints)
+    (String.concat "; " (List.map string_of_bool bools))
+    (String.concat "; " (List.map (Printf.sprintf "%h") floats))
+    bytes (ints_s picks) (Rng.state r) (Rng.state child)
+
+let test_rng_golden () =
+  List.iter2
+    (fun seed expected -> Alcotest.(check string) (string_of_int seed) expected (render_draws seed))
+    [ 0; 1; 7; 42; 20261017; -3 ] rng_golden
+
+let test_rng_state_roundtrip () =
+  let a = Rng.create 5 in
+  ignore (Rng.int a 10);
+  let saved = Rng.state a in
+  let xs = List.init 10 (fun _ -> Rng.int a 1_000_000) in
+  let b = Rng.create 0 in
+  Rng.set_state b saved;
+  check_int "state restored" 0 (Int64.compare saved (Rng.state b));
+  Alcotest.(check (list int)) "same draws after set_state" xs
+    (List.init 10 (fun _ -> Rng.int b 1_000_000))
+
 let test_rng_shuffle_permutation () =
   let r = Rng.create 13 in
   let a = Array.init 50 Fun.id in
@@ -191,6 +239,8 @@ let () =
           Alcotest.test_case "int_in" `Quick test_rng_int_in;
           Alcotest.test_case "weighted" `Quick test_rng_weighted;
           Alcotest.test_case "shuffle" `Quick test_rng_shuffle_permutation;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden;
+          Alcotest.test_case "state roundtrip" `Quick test_rng_state_roundtrip;
           QCheck_alcotest.to_alcotest prop_rng_int_in_range;
         ] );
       ( "stats",

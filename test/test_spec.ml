@@ -73,6 +73,43 @@ let test_validate_catches_double_snapshot () =
   let bad = { p with Program.ops = Array.append p.Program.ops [| snap |] } in
   Alcotest.(check bool) "rejected" true (Result.is_error (Program.validate bad))
 
+(* A spec with two value types and a node consuming two values of one
+   type. Registered specs consume at most one value per op; this one
+   exercises the multi-consume paths of validate, Builder and repair. *)
+let two_consume_spec () =
+  let b = Spec.start "two-consume" in
+  let a = Spec.edge_type b "a" and bt = Spec.edge_type b "b" in
+  let d = Spec.data_type b ~max_len:4 "d" in
+  let mk_a = Spec.node_type b ~outputs:[ a ] "mk_a" in
+  ignore (Spec.node_type b ~outputs:[ a; bt ] "mk_ab");
+  ignore (Spec.node_type b ~borrows:[ a ] ~data:[ d ] "use");
+  let merge = Spec.node_type b ~consumes:[ a; a ] ~outputs:[ bt ] "merge" in
+  ignore (Spec.node_type b ~borrows:[ bt ] ~consumes:[ a ] ~outputs:[ a ] ~data:[ d; d ] "cross");
+  ignore (Spec.node_type b ~consumes:[ bt ] "kill");
+  (Spec.finalize b, mk_a, merge)
+
+let test_validate_catches_double_consume () =
+  let spec, mk_a, merge = two_consume_spec () in
+  (* Two distinct values: valid, from the Builder and by hand. *)
+  let b = Builder.create spec in
+  let x = Builder.call b "mk_a" [] and y = Builder.call b "mk_a" [] in
+  ignore (Builder.call b "merge" (x @ y));
+  Alcotest.(check bool) "builder program valid" true
+    (Result.is_ok (Program.validate (Builder.build b)));
+  (* One value consumed by both slots of one op. *)
+  let b = Builder.create spec in
+  let x = Builder.call b "mk_a" [] in
+  Alcotest.check_raises "builder rejects double consume"
+    (Invalid_argument "Builder.call merge: value already consumed") (fun () ->
+      ignore (Builder.call b "merge" (x @ x)));
+  let op node args = { Program.node = node.Spec.nt_id; args; data = [||] } in
+  let bad = { Program.spec; ops = [| op mk_a [||]; op merge [| 0; 0 |] |] } in
+  Alcotest.(check bool) "validate rejects" true (Result.is_error (Program.validate bad));
+  Alcotest.(check bool) "parse rejects" true
+    (Result.is_error (Program.parse spec (Program.serialize bad)));
+  (* Repair cannot bind a second [a]: the op goes. *)
+  check_int "repair drops it" 1 (Array.length (Program.repair bad).Program.ops)
+
 (* Snapshot placement *)
 
 let test_snapshot_placement () =
@@ -289,6 +326,46 @@ let prop_repair_verifier_clean =
       Result.is_ok (Program.validate repaired)
       && Nyx_analysis.Verifier.errors repaired = [])
 
+(* Random op soups: unknown opcodes, wrong arity, dangling and
+   double-consumed args, oversized data, several snapshot ops. *)
+let soup_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 16)
+      (triple (int_range (-1) 8)
+         (list_size (int_range 0 3) (int_range (-1) 9))
+         (list_size (int_range 0 3) (string_size ~gen:printable (int_range 0 6)))))
+
+let soup spec raw =
+  {
+    Program.spec;
+    ops =
+      Array.of_list
+        (List.map
+           (fun (node, args, data) ->
+             {
+               Program.node;
+               args = Array.of_list args;
+               data = Array.of_list (List.map Bytes.of_string data);
+             })
+           raw);
+  }
+
+let prop_repair_matches_reference =
+  QCheck.Test.make ~name:"repair == list-based reference (program and rng state)"
+    ~count:1000
+    QCheck.(triple (make soup_gen) small_int bool)
+    (fun (raw, seed, two_consume) ->
+      let spec =
+        if two_consume then (fun (s, _, _) -> s) (two_consume_spec ())
+        else (net ()).Net_spec.spec
+      in
+      let p = soup spec raw in
+      let r1 = Nyx_sim.Rng.create seed and r2 = Nyx_sim.Rng.create seed in
+      let fast = Program.repair ~rng:r1 p and slow = Reference.repair ~rng:r2 p in
+      fast.Program.ops = slow.Program.ops
+      && Nyx_sim.Rng.state r1 = Nyx_sim.Rng.state r2
+      && (Program.repair p).Program.ops = (Reference.repair p).Program.ops)
+
 let test_mutator_changes_programs () =
   let ns = net () in
   let rng = Nyx_sim.Rng.create 11 in
@@ -316,6 +393,7 @@ let () =
         [
           Alcotest.test_case "bad ref" `Quick test_validate_catches_bad_ref;
           Alcotest.test_case "double snapshot" `Quick test_validate_catches_double_snapshot;
+          Alcotest.test_case "double consume" `Quick test_validate_catches_double_consume;
         ] );
       ( "snapshot placement",
         [ Alcotest.test_case "placement" `Quick test_snapshot_placement ] );
@@ -348,5 +426,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_mutator_respects_frozen_prefix;
           QCheck_alcotest.to_alcotest prop_repair_always_validates;
           QCheck_alcotest.to_alcotest prop_repair_verifier_clean;
+          QCheck_alcotest.to_alcotest prop_repair_matches_reference;
         ] );
     ]
