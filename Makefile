@@ -1,6 +1,6 @@
 # Convenience entry points; see README.md for the full bench matrix.
 
-.PHONY: all check build test lint faultcheck statecheck profile ci-local bench-smoke bench-hotpath bench-snapshot bench-mutation bench-peer bench clean
+.PHONY: all check build test lint faultcheck statecheck profile ci-local bench-smoke bench-hotpath bench-snapshot bench-mutation bench-peer bench loc clean
 
 all: check
 
@@ -111,6 +111,19 @@ bench-peer:
 # The full paper evaluation (slow).
 bench:
 	dune exec bench/main.exe -- all
+
+# Line count of a change: added, removed and net lines per area (lib,
+# bin, bench, test) between BASE and the working tree, from git diff
+# --numstat. New files count once they are git-added.
+#   make loc BASE=<rev>
+BASE ?= HEAD
+loc:
+	@git diff --numstat $(BASE) -- lib bin bench test | awk ' \
+	  { split($$3, p, "/"); a[p[1]] += $$1; r[p[1]] += $$2 } \
+	  END { printf "%-6s %8s %8s %8s\n", "area", "added", "removed", "net"; \
+	        n = split("lib bin bench test", areas, " "); \
+	        for (i = 1; i <= n; i++) { k = areas[i]; \
+	          printf "%-6s %8d %8d %+8d\n", k, a[k], r[k], a[k] - r[k] } }'
 
 clean:
 	dune clean

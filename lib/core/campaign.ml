@@ -68,8 +68,9 @@ type state = {
   policy : Policy.t;
   mut_rng : Nyx_sim.Rng.t;
   engine : Nyx_spec.Mutation_engine.t;
-  dict : bytes list;
-  max_ops : int;
+  spec : Nyx_spec.Net_spec.t;  (* the executor's; corpus programs parse against it *)
+  mutable dict : bytes list;
+  mutable max_ops : int;
   plan : Nyx_resilience.Plan.t option;  (* armed fault plan, if any *)
   static_prior : bool;
       (* feed the Dataflow boundary prior to probes; off when a custom
@@ -243,6 +244,10 @@ let triage st (result : Report.exec_result) stored =
 (* ------------------------------------------------------------------ *)
 (* Checkpointing.                                                      *)
 
+(* Timelines travel as float bits, oldest first. *)
+let timeline_bits tl =
+  List.map (fun (t, v) -> (t, Int64.bits_of_float v)) (Nyx_sim.Stats.Timeline.samples tl)
+
 (* Only valid between scheduling rounds (loop top): the snapshot engine
    is back in root mode there, and all per-execution state is about to be
    reset anyway, so the campaign reduces to the fields below. *)
@@ -269,37 +274,22 @@ let capture st : Checkpoint.t =
       (* entries are newest first; rev_map flips to oldest first so ids
          re-assign to their original values on resume. *)
       List.rev_map
-        (fun (e : Corpus.entry) ->
-          {
-            Checkpoint.ce_program = Nyx_spec.Program.serialize e.Corpus.program;
-            ce_exec_ns = e.Corpus.exec_ns;
-            ce_discovered_ns = e.Corpus.discovered_ns;
-            ce_state_code = e.Corpus.state_code;
-          })
+        (fun { Corpus.program; exec_ns; discovered_ns; state_code; _ } ->
+          { Checkpoint.ce_program = Nyx_spec.Program.serialize program;
+            ce_exec_ns = exec_ns; ce_discovered_ns = discovered_ns; ce_state_code = state_code })
         (Corpus.entries st.corpus);
     c_virgin = Coverage.Cumulative.state_bytes st.cumulative;
-    c_timeline =
-      List.map
-        (fun (t, v) -> (t, Int64.bits_of_float v))
-        (Nyx_sim.Stats.Timeline.samples st.timeline);
+    c_timeline = timeline_bits st.timeline;
     c_crashes =
       List.map
-        (fun (c : Report.crash_report) ->
-          {
-            Checkpoint.cr_kind = c.Report.kind;
-            cr_detail = c.Report.detail;
-            cr_found_ns = c.Report.found_ns;
-            cr_found_exec = c.Report.found_exec;
-            cr_input = c.Report.input;
-          })
+        (fun { Report.kind; detail; found_ns; found_exec; input } ->
+          { Checkpoint.cr_kind = kind; cr_detail = detail; cr_found_ns = found_ns;
+            cr_found_exec = found_exec; cr_input = input })
         st.crashes;
     c_engine = Executor.engine_checkpoint st.exec;
     c_dict = st.dict;
     c_max_ops = st.max_ops;
-    c_exec_timeline =
-      List.map
-        (fun (t, v) -> (t, Int64.bits_of_float v))
-        (Nyx_sim.Stats.Timeline.samples st.exec_timeline);
+    c_exec_timeline = timeline_bits st.exec_timeline;
     c_mut_engine = Engines.name cfg.engine;
     c_mut_weights =
       List.map (fun (n, w) -> (n, Int64.bits_of_float w)) cfg.mutator_weights;
@@ -316,6 +306,75 @@ let capture st : Checkpoint.t =
       Option.map Nyx_peer.Peer_driver.state (Executor.peer_driver st.exec);
   }
 
+(* The exact inverse of [capture] on a state fresh from [create] with the
+   checkpoint's config: every RNG stream, the clock, corpus, coverage,
+   timelines, crash log, snapshot engine, plan, profile and peer counters
+   are overwritten with the checkpointed values. *)
+let restore st (ck : Checkpoint.t) =
+  Nyx_sim.Rng.set_state st.rng ck.Checkpoint.c_sched_rng;
+  Nyx_sim.Rng.set_state st.mut_rng ck.Checkpoint.c_mut_rng;
+  Policy.restore_state st.policy ck.Checkpoint.c_policy_state;
+  Nyx_spec.Mutation_engine.restore_state st.engine ck.Checkpoint.c_mut_state;
+  let both f a b = match (a, b) with Some a, Some b -> f a b | _ -> () in
+  both Nyx_resilience.Plan.restore_state st.plan (Option.map snd ck.Checkpoint.c_faults);
+  both Nyx_obs.Profile.restore_state st.prof ck.Checkpoint.c_profile;
+  both Nyx_peer.Peer_driver.restore_state (Executor.peer_driver st.exec) ck.Checkpoint.c_peer;
+  (* Oldest first, so ids re-assign to their original values (Corpus.add
+     numbers sequentially). *)
+  List.iter
+    (fun { Checkpoint.ce_program; ce_exec_ns = exec_ns; ce_discovered_ns = discovered_ns;
+           ce_state_code = state_code } ->
+      match Nyx_spec.Program.parse st.spec.Nyx_spec.Net_spec.spec ce_program with
+      | Ok program -> ignore (Corpus.add st.corpus ~program ~exec_ns ~discovered_ns ~state_code)
+      | Error m -> invalid_arg ("Campaign.resume: corpus entry: " ^ m))
+    ck.Checkpoint.c_corpus;
+  Coverage.Cumulative.load_state st.cumulative ck.Checkpoint.c_virgin;
+  let replay tl =
+    List.iter (fun (t, bits) -> Nyx_sim.Stats.Timeline.record tl t (Int64.float_of_bits bits))
+  in
+  replay st.timeline ck.Checkpoint.c_timeline;
+  replay st.exec_timeline ck.Checkpoint.c_exec_timeline;
+  st.crashes <-
+    List.map
+      (fun { Checkpoint.cr_kind = kind; cr_detail = detail; cr_found_ns = found_ns;
+             cr_found_exec = found_exec; cr_input = input } ->
+        { Report.kind; detail; found_ns; found_exec; input })
+      ck.Checkpoint.c_crashes;
+  st.dict <- ck.Checkpoint.c_dict;
+  st.max_ops <- ck.Checkpoint.c_max_ops;
+  Executor.engine_restore_checkpoint st.exec ck.Checkpoint.c_engine;
+  (* Boot charged its costs onto the fresh clock; jump to the campaign's
+     checkpointed virtual time, which already accounts for them. *)
+  Nyx_sim.Clock.set_ns (Executor.clock st.exec) ck.Checkpoint.c_clock_ns;
+  st.ck_last <- ck.Checkpoint.c_clock_ns;
+  st.execs <- ck.Checkpoint.c_execs;
+  st.solved_ns <- ck.Checkpoint.c_solved_ns;
+  st.last_sample <- ck.Checkpoint.c_last_sample
+
+(* The config a checkpoint was captured under: the inverse of the config
+   half of [capture]. *)
+let config_of_checkpoint (ck : Checkpoint.t) =
+  let known of_name name =
+    match of_name name with
+    | Ok k -> k
+    | Error m -> invalid_arg ("Campaign.resume: " ^ m)
+  in
+  {
+    policy = known Policy.of_name ck.Checkpoint.c_policy;
+    budget_ns = ck.Checkpoint.c_budget_ns;
+    max_execs = ck.Checkpoint.c_max_execs;
+    seed = ck.Checkpoint.c_seed;
+    asan = ck.Checkpoint.c_asan;
+    stop_on_solve = ck.Checkpoint.c_stop_on_solve;
+    trim = ck.Checkpoint.c_trim;
+    sample_interval_ns = ck.Checkpoint.c_sample_interval_ns;
+    engine = known Engines.of_name ck.Checkpoint.c_mut_engine;
+    mutator_weights =
+      List.map
+        (fun (n, bits) -> (n, Int64.float_of_bits bits))
+        ck.Checkpoint.c_mut_weights;
+  }
+
 let maybe_checkpoint st =
   match st.ck with
   | None -> ()
@@ -323,19 +382,11 @@ let maybe_checkpoint st =
     let t = now st in
     if t - st.ck_last >= ck.ck_interval_ns then begin
       st.ck_last <- t;
-      match Checkpoint.save ck.ck_path (capture st) with
-      | Ok () ->
-        st.ck_ordinal <- st.ck_ordinal + 1;
-        if Nyx_obs.Trace.on () then
-          Nyx_obs.Trace.instant ~vns:t "checkpoint"
-            [
-              ("ordinal", Nyx_obs.Trace.Int st.ck_ordinal);
-              ("execs", Nyx_obs.Trace.Int st.execs);
-            ];
-        (match ck.ck_on_write with Some f -> f st.ck_ordinal | None -> ())
-      | Error m ->
-        (* Checkpointing is a safety net, not a dependency: keep fuzzing. *)
-        Printf.eprintf "nyx: checkpoint write failed (%s); continuing\n%!" m
+      st.ck_ordinal <-
+        Checkpoint.write_periodic ~event:"checkpoint" ~path:ck.ck_path ~vns:t
+          ~ordinal:st.ck_ordinal ~detail:("execs", st.execs)
+          ~on_write:ck.ck_on_write
+          (Checkpoint.encode (capture st))
     end
 
 (* ------------------------------------------------------------------ *)
@@ -605,8 +656,13 @@ let trace_campaign_begin st =
 
 type inst = { st : state; wall0 : float }
 
-let start ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults
-    ?checkpoint ?(collect_exports = false) cfg entry =
+(* What fresh and resumed campaigns share: boot, executor, policy,
+   mutation engine, fault plan and the state record. RNG draws happen in
+   a fresh run's order (a resume needs the same layout cookie to re-boot
+   the same guest; [restore] then overwrites every stream). The plan's
+   split happens ONLY when [faults] has a non-zero rate, so fault-free
+   runs keep the historical draw sequence and golden results. *)
+let create ~custom ~peer ~profile ~faults ~checkpoint ~collect_exports cfg entry =
   let wall0 = Nyx_parallel.Wall.now_s () in
   let spec = net_spec () in
   let rng = Nyx_sim.Rng.create cfg.seed in
@@ -625,55 +681,14 @@ let start ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults
     Engines.create ~weights:cfg.mutator_weights cfg.engine
       spec.Nyx_spec.Net_spec.spec
   in
-  (* Fault plan: [~faults] wins, else NYX_FAULTS; [~peer_faults] items
-     (peer encoder sites) are appended. Its rng split happens ONLY when a
-     plan with at least one non-zero rate is armed, so fault-free runs —
-     including peer campaigns with every peer rate at zero — keep the
-     historical draw sequence (golden results stay byte-identical). *)
   let plan =
-    let base =
-      match faults with Some _ -> faults | None -> Nyx_resilience.Plan.of_env ()
-    in
-    let merged =
-      match (base, peer_faults) with
-      | None, None -> None
-      | Some a, None -> Some a
-      | None, Some b -> Some b
-      | Some a, Some b -> Some (a @ b)
-    in
-    match merged with
+    match faults with
     | None -> None
     | Some sp when Nyx_resilience.Plan.spec_to_string sp = "" -> None
     | Some sp ->
       let p = Nyx_resilience.Plan.create sp (Nyx_sim.Rng.split rng) in
       Executor.arm_faults exec p;
       Some p
-  in
-  (* Seed the corpus: peer mode seeds with the script's canned honest
-     sessions (action-selector payloads), bytecode mode with the
-     target's raw packet seeds. *)
-  let seed_programs =
-    match seeds with
-    | Some s -> s
-    | None -> (
-      match peer with
-      | Some script -> Nyx_peer.Peer_script.seed_programs script spec
-      | None -> make_seeds entry spec)
-  in
-  (* Dictionary: the target's shipped tokens plus AFL-style auto-extraction
-     from the seeds. *)
-  let dict =
-    Nyx_spec.Auto_dict.merge
-      (List.map Bytes.of_string entry.Registry.target.Target.info.Target.dict)
-      (Nyx_spec.Auto_dict.extract seed_programs)
-  in
-  (* The input-length cap scales with the seeds: protocols with long
-     message sequences (Mario levels, IPC sessions) need room beyond the
-     default. *)
-  let max_ops =
-    List.fold_left
-      (fun acc p -> max acc (2 * Array.length p.Nyx_spec.Program.ops))
-      24 seed_programs
   in
   let st =
     {
@@ -687,8 +702,9 @@ let start ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults
       policy;
       mut_rng;
       engine;
-      dict;
-      max_ops;
+      spec;
+      dict = [];
+      max_ops = 0;
       plan;
       (* off for custom handlers AND peer mode: both give packets
          semantics the static dataflow model cannot see *)
@@ -709,11 +725,52 @@ let start ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults
       until_ns = max_int;
     }
   in
+  { st; wall0 }
+
+let start ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults
+    ?checkpoint ?(collect_exports = false) cfg entry =
+  (* Fault plan: [~faults] wins, else NYX_FAULTS; [~peer_faults] items
+     (peer encoder sites) are appended. *)
+  let faults =
+    let base =
+      match faults with Some _ -> faults | None -> Nyx_resilience.Plan.of_env ()
+    in
+    match (base, peer_faults) with
+    | None, b -> b
+    | a, None -> a
+    | Some a, Some b -> Some (a @ b)
+  in
+  let inst = create ~custom ~peer ~profile ~faults ~checkpoint ~collect_exports cfg entry in
+  let st = inst.st in
+  (* Seed the corpus: peer mode seeds with the script's canned honest
+     sessions (action-selector payloads), bytecode mode with the
+     target's raw packet seeds. *)
+  let seed_programs =
+    match seeds with
+    | Some s -> s
+    | None -> (
+      match peer with
+      | Some script -> Nyx_peer.Peer_script.seed_programs script st.spec
+      | None -> make_seeds entry st.spec)
+  in
+  (* Dictionary: the target's shipped tokens plus AFL-style auto-extraction
+     from the seeds. *)
+  st.dict <-
+    Nyx_spec.Auto_dict.merge
+      (List.map Bytes.of_string entry.Registry.target.Target.info.Target.dict)
+      (Nyx_spec.Auto_dict.extract seed_programs);
+  (* The input-length cap scales with the seeds: protocols with long
+     message sequences (Mario levels, IPC sessions) need room beyond the
+     default. *)
+  st.max_ops <-
+    List.fold_left
+      (fun acc p -> max acc (2 * Array.length p.Nyx_spec.Program.ops))
+      24 seed_programs;
   trace_campaign_begin st;
   List.iter
     (fun program ->
       if not (over_budget st) then begin
-        let r = Executor.run_full exec program in
+        let r = Executor.run_full st.exec program in
         ignore (triage st r program)
       end)
     seed_programs;
@@ -721,9 +778,9 @@ let start ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults
   if Corpus.size st.corpus = 0 then
     ignore
       (Corpus.add st.corpus
-         ~program:(Nyx_spec.Net_spec.seed_of_packets spec [])
+         ~program:(Nyx_spec.Net_spec.seed_of_packets st.spec [])
          ~exec_ns:0 ~discovered_ns:(now st) ~state_code:0);
-  { st; wall0 }
+  inst
 
 let step inst ~until_ns =
   inst.st.until_ns <- until_ns;
@@ -787,177 +844,42 @@ let run ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults ?checkpoint
 
 let resume_inst ?custom ?(profile = false) ?checkpoint
     ?(collect_exports = false) (ckpt : Checkpoint.t) entry =
-  let wall0 = Nyx_parallel.Wall.now_s () in
   let target_name = entry.Registry.target.Target.info.Target.name in
   if ckpt.Checkpoint.c_target <> target_name then
     invalid_arg
       (Printf.sprintf "Campaign.resume: checkpoint is for target %S, not %S"
          ckpt.Checkpoint.c_target target_name);
-  let policy_kind =
-    match Policy.of_name ckpt.Checkpoint.c_policy with
-    | Ok k -> k
-    | Error m -> invalid_arg ("Campaign.resume: " ^ m)
-  in
-  let engine_kind =
-    match Engines.of_name ckpt.Checkpoint.c_mut_engine with
-    | Ok k -> k
-    | Error m -> invalid_arg ("Campaign.resume: " ^ m)
-  in
-  let cfg =
-    {
-      policy = policy_kind;
-      budget_ns = ckpt.Checkpoint.c_budget_ns;
-      max_execs = ckpt.Checkpoint.c_max_execs;
-      seed = ckpt.Checkpoint.c_seed;
-      asan = ckpt.Checkpoint.c_asan;
-      stop_on_solve = ckpt.Checkpoint.c_stop_on_solve;
-      trim = ckpt.Checkpoint.c_trim;
-      sample_interval_ns = ckpt.Checkpoint.c_sample_interval_ns;
-      engine = engine_kind;
-      mutator_weights =
-        List.map
-          (fun (n, bits) -> (n, Int64.float_of_bits bits))
-          ckpt.Checkpoint.c_mut_weights;
-    }
-  in
-  let spec = net_spec () in
-  let rng = Nyx_sim.Rng.create cfg.seed in
-  (* Same draw as the original run: the layout cookie must match so the
-     re-boot reproduces the original guest layout bit-for-bit. *)
-  let layout_cookie = Nyx_sim.Rng.int rng 1_000_000 in
-  let prof = if profile then Some (Nyx_obs.Profile.create ()) else None in
+  let cfg = config_of_checkpoint ckpt in
   (* Peer mode is inferred from the checkpoint (the c_peer field is Some
      exactly when the original campaign ran with a peer script), so
      resumers never need to re-supply the mode. *)
   let peer =
-    match ckpt.Checkpoint.c_peer with
-    | None -> None
-    | Some _ -> (
-      match Nyx_peer.Peer_script.find ckpt.Checkpoint.c_target with
-      | Some script -> Some script
-      | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Campaign.resume: checkpoint has peer state but target %S has no \
-              peer script"
-             ckpt.Checkpoint.c_target))
+    Option.map
+      (fun _ ->
+        match Nyx_peer.Peer_script.find target_name with
+        | Some script -> script
+        | None ->
+          invalid_arg
+            (Printf.sprintf
+               "Campaign.resume: checkpoint has peer state but target %S has no \
+                peer script"
+               target_name))
+      ckpt.Checkpoint.c_peer
   in
-  let exec =
-    Executor.create ~asan:cfg.asan ~layout_cookie ?custom ?peer ?profile:prof
-      ~net_spec:spec entry.Registry.target
-  in
-  (match (ckpt.Checkpoint.c_peer, Executor.peer_driver exec) with
-  | Some s, Some d -> Nyx_peer.Peer_driver.restore_state d s
-  | _ -> ());
-  (match (prof, ckpt.Checkpoint.c_profile) with
-  | Some p, Some s -> Nyx_obs.Profile.restore_state p s
-  | _ -> ());
-  (* Dummy-seeded RNGs below are immediately overwritten via set_state:
-     only the restored states matter, never the creation seeds. *)
-  Nyx_sim.Rng.set_state rng ckpt.Checkpoint.c_sched_rng;
-  let policy = Policy.create cfg.policy (Nyx_sim.Rng.create 0) in
-  Policy.restore_state policy ckpt.Checkpoint.c_policy_state;
-  let mut_rng = Nyx_sim.Rng.create 0 in
-  Nyx_sim.Rng.set_state mut_rng ckpt.Checkpoint.c_mut_rng;
-  let engine =
-    Engines.create ~weights:cfg.mutator_weights cfg.engine
-      spec.Nyx_spec.Net_spec.spec
-  in
-  Nyx_spec.Mutation_engine.restore_state engine ckpt.Checkpoint.c_mut_state;
-  let plan =
-    match ckpt.Checkpoint.c_faults with
-    | None -> None
-    | Some (spec_str, pstate) ->
-      let sp =
+  (* The stored canonical spec, never NYX_FAULTS: the plan is part of the
+     checkpointed campaign. *)
+  let faults =
+    Option.map
+      (fun (spec_str, _) ->
         match Nyx_resilience.Plan.parse_spec spec_str with
         | Ok sp -> sp
-        | Error m -> invalid_arg ("Campaign.resume: stored fault spec: " ^ m)
-      in
-      let p = Nyx_resilience.Plan.create sp (Nyx_sim.Rng.create 0) in
-      Nyx_resilience.Plan.restore_state p pstate;
-      Executor.arm_faults exec p;
-      Some p
+        | Error m -> invalid_arg ("Campaign.resume: stored fault spec: " ^ m))
+      ckpt.Checkpoint.c_faults
   in
-  (* Rebuild the corpus oldest-first so ids re-assign to their original
-     values (Corpus.add numbers sequentially). *)
-  let corpus = Corpus.create () in
-  List.iter
-    (fun (e : Checkpoint.corpus_entry) ->
-      let program =
-        match
-          Nyx_spec.Program.parse spec.Nyx_spec.Net_spec.spec
-            e.Checkpoint.ce_program
-        with
-        | Ok p -> p
-        | Error m -> invalid_arg ("Campaign.resume: corpus entry: " ^ m)
-      in
-      ignore
-        (Corpus.add corpus ~program ~exec_ns:e.Checkpoint.ce_exec_ns
-           ~discovered_ns:e.Checkpoint.ce_discovered_ns
-           ~state_code:e.Checkpoint.ce_state_code))
-    ckpt.Checkpoint.c_corpus;
-  let cumulative = Coverage.Cumulative.create () in
-  Coverage.Cumulative.load_state cumulative ckpt.Checkpoint.c_virgin;
-  let timeline = Nyx_sim.Stats.Timeline.create () in
-  List.iter
-    (fun (t, bits) ->
-      Nyx_sim.Stats.Timeline.record timeline t (Int64.float_of_bits bits))
-    ckpt.Checkpoint.c_timeline;
-  let exec_timeline = Nyx_sim.Stats.Timeline.create () in
-  List.iter
-    (fun (t, bits) ->
-      Nyx_sim.Stats.Timeline.record exec_timeline t (Int64.float_of_bits bits))
-    ckpt.Checkpoint.c_exec_timeline;
-  let crashes =
-    List.map
-      (fun (c : Checkpoint.crash) ->
-        {
-          Report.kind = c.Checkpoint.cr_kind;
-          detail = c.Checkpoint.cr_detail;
-          found_ns = c.Checkpoint.cr_found_ns;
-          found_exec = c.Checkpoint.cr_found_exec;
-          input = c.Checkpoint.cr_input;
-        })
-      ckpt.Checkpoint.c_crashes
-  in
-  Executor.engine_restore_checkpoint exec ckpt.Checkpoint.c_engine;
-  (* Boot charged its costs onto the fresh clock; jump to the campaign's
-     checkpointed virtual time, which already accounts for them. *)
-  Nyx_sim.Clock.set_ns (Executor.clock exec) ckpt.Checkpoint.c_clock_ns;
-  let st =
-    {
-      cfg;
-      exec;
-      corpus;
-      cumulative;
-      timeline;
-      exec_timeline;
-      rng;
-      policy;
-      mut_rng;
-      engine;
-      dict = ckpt.Checkpoint.c_dict;
-      max_ops = ckpt.Checkpoint.c_max_ops;
-      plan;
-      static_prior = custom = None && peer = None;
-      prior_udp =
-        entry.Registry.target.Target.info.Target.proto = Nyx_netemu.Net.Udp;
-      prof;
-      ck = checkpoint;
-      ck_last = ckpt.Checkpoint.c_clock_ns;
-      ck_ordinal = 0;
-      execs = ckpt.Checkpoint.c_execs;
-      crashes;
-      solved_ns = ckpt.Checkpoint.c_solved_ns;
-      last_sample = ckpt.Checkpoint.c_last_sample;
-      stop = false;
-      collect_exports;
-      pending_exports = [];
-      until_ns = max_int;
-    }
-  in
-  trace_campaign_begin st;
-  { st; wall0 }
+  let inst = create ~custom ~peer ~profile ~faults ~checkpoint ~collect_exports cfg entry in
+  restore inst.st ckpt;
+  trace_campaign_begin inst.st;
+  inst
 
 let resume ?custom ?(profile = false) ?checkpoint (ckpt : Checkpoint.t) entry =
   let inst = resume_inst ?custom ~profile ?checkpoint ckpt entry in

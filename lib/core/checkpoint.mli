@@ -9,10 +9,13 @@
     (modulo the informational wall-clock fields —
     {!Report.same_deterministic}).
 
-    Files start with the magic ["NYXCKP1"], use flat big-endian int64
-    framing throughout, and are written atomically (tmp + rename via
-    {!Nyx_resilience.Atomic_io}) so a crash mid-write never corrupts the
-    previous checkpoint. *)
+    Files are {!Codec.frame}d: the magic ["NYXCKP2"], the body declared by
+    {!codec} (flat big-endian int64 framing throughout) and a CRC-32 of
+    the body, so any flipped byte or truncation is rejected on load. The
+    body layout is v1's; v1 (["NYXCKP1"], no CRC) files are rejected with
+    an error naming their format. Files are written atomically (tmp +
+    rename via {!Nyx_resilience.Atomic_io}) so a crash mid-write never
+    corrupts the previous checkpoint. *)
 
 type corpus_entry = {
   ce_program : bytes;  (** {!Nyx_spec.Program.serialize} form *)
@@ -67,13 +70,32 @@ type t = {
       (** cooperating-peer counters, for [--mode peer] campaigns *)
 }
 
+val codec : t Codec.codec
+(** The body format, also embedded per instance in fleet checkpoints. *)
+
 val encode : t -> bytes
 val decode : bytes -> t
 (** @raise Corrupt on malformed input. *)
 
 exception Corrupt of string
+(** Equal to {!Codec.Corrupt}. *)
 
 val save : string -> t -> (unit, string) result
 (** Atomic write (tmp + rename). *)
 
 val load : string -> (t, string) result
+
+val write_periodic :
+  event:string ->
+  path:string ->
+  vns:int ->
+  ordinal:int ->
+  detail:string * int ->
+  on_write:(int -> unit) option ->
+  bytes ->
+  int
+(** One periodic checkpoint write, shared by campaigns and fleets: write
+    the bytes atomically; on success emit trace instant [event] at [vns]
+    (new ordinal and [detail]) and call [on_write], returning
+    [ordinal + 1]. A failed write is logged and returns [ordinal]:
+    checkpointing never stops a campaign. *)

@@ -80,6 +80,30 @@ let parallel_span ~workers segs =
     Array.fold_left max 0 load
   end
 
+(* The outcome over the surviving instances' results; the mode-specific
+   fields come from the caller. *)
+let outcome ~instances ~workers ~restarts ~quarantined ~union_edges ~sync_epochs
+    ~work_ns ~makespan_ns t0 results =
+  let solve_times = List.filter_map (fun r -> r.Report.solved_ns) results in
+  {
+    instances;
+    first_solve_ns =
+      (match solve_times with
+      | [] -> None
+      | ts -> Some (List.fold_left min max_int ts));
+    solves = List.length solve_times;
+    total_execs = List.fold_left (fun acc r -> acc + r.Report.execs) 0 results;
+    restarts;
+    quarantined;
+    results;
+    wall_s = Nyx_parallel.Wall.now_s () -. t0;
+    domains = workers;
+    union_edges;
+    sync_epochs;
+    work_ns;
+    makespan_ns;
+  }
+
 let exn_brief exn =
   match Printexc.to_string exn with
   | s when String.length s > 200 -> String.sub s 0 200 ^ "..."
@@ -89,7 +113,7 @@ let derived_configs ~instances ~config =
   List.init instances (fun i ->
       (i, { config with Campaign.seed = config.Campaign.seed + (1000 * i) }))
 
-let trace_fleet_begin ~instances ~sync_ns entry =
+let traced ~instances ~sync_ns entry f =
   if Nyx_obs.Trace.on () then
     Nyx_obs.Trace.span_begin "fleet"
       [
@@ -99,9 +123,8 @@ let trace_fleet_begin ~instances ~sync_ns entry =
               .Nyx_targets.Target.name );
         ("instances", Nyx_obs.Trace.Int instances);
         ("sync_ns", Nyx_obs.Trace.Int (Option.value ~default:0 sync_ns));
-      ]
-
-let trace_fleet_end outcome =
+      ];
+  let outcome = f () in
   if Nyx_obs.Trace.on () then begin
     Nyx_obs.Trace.span_end "fleet"
       [
@@ -115,7 +138,8 @@ let trace_fleet_end outcome =
     (* Worker-domain buffers flushed at their campaign span ends; make the
        fleet's own events durable too. *)
     Nyx_obs.Trace.flush ()
-  end
+  end;
+  outcome
 
 (* ------------------------------------------------------------------ *)
 (* Independent mode (sync off): the historical supervised fleet.       *)
@@ -198,26 +222,10 @@ let run_independent ~instances ~workers ~max_restarts ~run_instance ~peer
         Option.map (amend_result ~restarts ~backoff_ns) res)
       raw
   in
-  let solve_times = List.filter_map (fun r -> r.Report.solved_ns) results in
   let segs = List.map (fun r -> r.Report.virtual_ns) results in
-  {
-    instances;
-    first_solve_ns =
-      (match solve_times with
-      | [] -> None
-      | ts -> Some (List.fold_left min max_int ts));
-    solves = List.length solve_times;
-    total_execs = List.fold_left (fun acc r -> acc + r.Report.execs) 0 results;
-    restarts;
-    quarantined;
-    results;
-    wall_s = Nyx_parallel.Wall.now_s () -. t0;
-    domains = workers;
-    union_edges = None;
-    sync_epochs = [];
-    work_ns = List.fold_left ( + ) 0 segs;
-    makespan_ns = parallel_span ~workers segs;
-  }
+  outcome ~instances ~workers ~restarts ~quarantined ~union_edges:None
+    ~sync_epochs:[] ~work_ns:(List.fold_left ( + ) 0 segs)
+    ~makespan_ns:(parallel_span ~workers segs) t0 results
 
 (* ------------------------------------------------------------------ *)
 (* Shared-corpus mode: sync epochs on the virtual clock.               *)
@@ -233,13 +241,20 @@ let checkpointing ?on_write ~path ~every_epochs () =
     invalid_arg "Fleet.checkpointing: every_epochs must be positive";
   { fc_path = path; fc_every = every_epochs; fc_on_write = on_write }
 
-type slot = {
+(* A slot holds what boots its instance (['i]: a config, or a checkpoint
+   on resume) until the boot fan-out swaps in the live instance; [inst]
+   is [None] once the slot is quarantined. *)
+type 'i slot = {
   idx : int;
-  mutable inst : Campaign.inst option; (* None once quarantined *)
+  mutable inst : 'i option;
   mutable prev_ns : int; (* clock at the last segment accounting *)
 }
 
-type acc = {
+type 'i sync_state = {
+  slots : 'i slot array;
+  union : Coverage.Cumulative.t;
+  sync_ns : int;
+  sync_import : bool;
   mutable epoch : int;
   mutable rows : sync_epoch list; (* newest first *)
   mutable work_ns : int;
@@ -247,153 +262,71 @@ type acc = {
   mutable ck_ordinal : int;
 }
 
-type sync_state = {
-  slots : slot array;
-  union : Coverage.Cumulative.t;
-  acc : acc;
-  sync_ns : int;
-  sync_import : bool;
-}
+(* Fleet checkpoint format: a synced fleet at a barrier, each live slot
+   carrying its campaign checkpoint body, framed as "NYXFLT2" + CRC-32. *)
 
-(* Fleet checkpoint codec: magic + flat big-endian int64 framing, one
-   embedded Campaign checkpoint per live slot, written atomically. *)
+let fleet_magic = "NYXFLT2"
 
-let fleet_magic = "NYXFLT1"
-
-let encode_fleet st : bytes =
-  let b = Buffer.create 262_144 in
-  let put v = Buffer.add_int64_be b (Int64.of_int v) in
-  Buffer.add_string b fleet_magic;
-  put st.sync_ns;
-  put (if st.sync_import then 1 else 0);
-  put st.acc.epoch;
-  put st.acc.work_ns;
-  put st.acc.makespan_ns;
-  put st.acc.ck_ordinal;
-  let um = Coverage.Cumulative.state_bytes st.union in
-  put (Bytes.length um);
-  Buffer.add_bytes b um;
-  let rows = List.rev st.acc.rows in
-  put (List.length rows);
-  List.iter
-    (fun r ->
-      put r.se_epoch;
-      put r.se_at_ns;
-      put r.se_exports;
-      put r.se_broadcast;
-      put r.se_imports;
-      put r.se_union_edges;
-      put r.se_total_execs)
-    rows;
-  put (Array.length st.slots);
-  Array.iter
-    (fun s ->
-      match s.inst with
-      | None -> put 0
-      | Some i ->
-        put 1;
-        put s.prev_ns;
-        let ck = Checkpoint.encode (Campaign.checkpoint_now i) in
-        put (Bytes.length ck);
-        Buffer.add_bytes b ck)
-    st.slots;
-  Buffer.to_bytes b
-
-type decoded_fleet = {
-  d_sync_ns : int;
-  d_sync_import : bool;
-  d_acc : acc;
-  d_virgin : bytes;
-  d_slots : (int * Checkpoint.t) option array; (* prev_ns + checkpoint *)
-}
-
-let decode_fleet (buf : bytes) : (decoded_fleet, string) result =
-  try
-    let pos = ref 0 in
-    let take n =
-      let p = !pos in
-      if p + n > Bytes.length buf then failwith "truncated";
-      pos := p + n;
-      p
-    in
-    let get () = Int64.to_int (Bytes.get_int64_be buf (take 8)) in
-    let get_bytes n = Bytes.sub buf (take n) n in
-    let m = Bytes.to_string (get_bytes (String.length fleet_magic)) in
-    if m <> fleet_magic then failwith "bad magic";
-    let d_sync_ns = get () in
-    let d_sync_import = get () <> 0 in
-    let epoch = get () in
-    let work_ns = get () in
-    let makespan_ns = get () in
-    let ck_ordinal = get () in
-    let um_len = get () in
-    let d_virgin = get_bytes um_len in
-    let n_rows = get () in
-    let rows =
-      List.init n_rows (fun _ ->
-          let se_epoch = get () in
-          let se_at_ns = get () in
-          let se_exports = get () in
-          let se_broadcast = get () in
-          let se_imports = get () in
-          let se_union_edges = get () in
-          let se_total_execs = get () in
-          {
-            se_epoch;
-            se_at_ns;
-            se_exports;
-            se_broadcast;
-            se_imports;
-            se_union_edges;
-            se_total_execs;
-          })
-    in
-    let n_slots = get () in
-    let d_slots =
-      Array.init n_slots (fun _ ->
-          if get () = 0 then None
-          else begin
-            let prev_ns = get () in
-            let len = get () in
-            Some (prev_ns, Checkpoint.decode (get_bytes len))
-          end)
-    in
-    Ok
-      {
-        d_sync_ns;
-        d_sync_import;
-        d_acc =
-          {
-            epoch;
-            rows = List.rev rows;
-            work_ns;
-            makespan_ns;
-            ck_ordinal;
-          };
-        d_virgin;
-        d_slots;
-      }
-  with
-  | Failure m -> Error ("fleet checkpoint: " ^ m)
-  | Checkpoint.Corrupt m -> Error ("fleet checkpoint: " ^ m)
-  | Invalid_argument _ -> Error "fleet checkpoint: truncated"
+let fleet_codec : Checkpoint.t sync_state Codec.codec =
+  let open Codec in
+  let row =
+    record
+      (fun se_epoch se_at_ns se_exports se_broadcast se_imports se_union_edges
+           se_total_execs ->
+        { se_epoch; se_at_ns; se_exports; se_broadcast; se_imports; se_union_edges;
+          se_total_execs })
+    @@ field (fun r -> r.se_epoch) int
+    @@ field (fun r -> r.se_at_ns) int
+    @@ field (fun r -> r.se_exports) int
+    @@ field (fun r -> r.se_broadcast) int
+    @@ field (fun r -> r.se_imports) int
+    @@ field (fun r -> r.se_union_edges) int
+    @@ field (fun r -> r.se_total_execs) int
+    @@ fields_end
+  in
+  let slot =
+    record (fun idx inst prev_ns -> { idx; inst; prev_ns })
+    @@ field (fun s -> s.idx) int
+    @@ field (fun s -> s.inst) (option Checkpoint.codec)
+    @@ field (fun s -> s.prev_ns) int
+    @@ fields_end
+  in
+  let union =
+    conv Coverage.Cumulative.state_bytes
+      (fun b ->
+        let u = Coverage.Cumulative.create () in
+        Coverage.Cumulative.load_state u b;
+        u)
+      bytes
+  in
+  record (fun slots union sync_ns sync_import epoch rows work_ns makespan_ns ck_ordinal ->
+      { slots; union; sync_ns; sync_import; epoch; rows; work_ns; makespan_ns; ck_ordinal })
+  @@ field (fun st -> st.slots) (array slot)
+  @@ field (fun st -> st.union) union
+  @@ field (fun st -> st.sync_ns) int
+  @@ field (fun st -> st.sync_import) bool
+  @@ field (fun st -> st.epoch) int
+  @@ field (fun st -> st.rows) (list row)
+  @@ field (fun st -> st.work_ns) int
+  @@ field (fun st -> st.makespan_ns) int
+  @@ field (fun st -> st.ck_ordinal) int
+  @@ fields_end
 
 let write_fleet_checkpoint st ck =
-  match Nyx_resilience.Atomic_io.write_file ck.fc_path (encode_fleet st) with
-  | Ok () ->
-    st.acc.ck_ordinal <- st.acc.ck_ordinal + 1;
-    if Nyx_obs.Trace.on () then
-      Nyx_obs.Trace.instant
-        ~vns:(st.acc.epoch * st.sync_ns)
-        "fleet-checkpoint"
-        [
-          ("ordinal", Nyx_obs.Trace.Int st.acc.ck_ordinal);
-          ("epoch", Nyx_obs.Trace.Int st.acc.epoch);
-        ];
-    (match ck.fc_on_write with Some f -> f st.acc.ck_ordinal | None -> ())
-  | Error m ->
-    (* Checkpointing is a safety net, not a dependency: keep fuzzing. *)
-    Printf.eprintf "nyx: fleet checkpoint write failed (%s); continuing\n%!" m
+  let image =
+    {
+      st with
+      slots =
+        Array.map
+          (fun s -> { s with inst = Option.map Campaign.checkpoint_now s.inst })
+          st.slots;
+    }
+  in
+  st.ck_ordinal <-
+    Checkpoint.write_periodic ~event:"fleet-checkpoint" ~path:ck.fc_path
+      ~vns:(st.epoch * st.sync_ns) ~ordinal:st.ck_ordinal
+      ~detail:("epoch", st.epoch) ~on_write:ck.fc_on_write
+      (Codec.frame ~magic:fleet_magic fleet_codec image)
 
 let slot_unfinished s =
   match s.inst with Some i -> not (Campaign.finished i) | None -> false
@@ -446,7 +379,7 @@ let barrier st ~until =
         | _ -> ())
       st.slots;
   {
-    se_epoch = st.acc.epoch;
+    se_epoch = st.epoch;
     se_at_ns = until;
     se_exports = !n_exports;
     se_broadcast = List.length broadcast;
@@ -467,8 +400,8 @@ type mapper = { fmap : 'a 'b. ('a -> 'b) -> 'a array -> 'b array }
    fans the step tasks out (persistent pool or sequential). *)
 let drive st ~fleet_map ~workers ~checkpoint =
   while any_unfinished st do
-    st.acc.epoch <- st.acc.epoch + 1;
-    let until = st.acc.epoch * st.sync_ns in
+    st.epoch <- st.epoch + 1;
+    let until = st.epoch * st.sync_ns in
     let stepping =
       Array.of_list
         (List.filter
@@ -496,7 +429,7 @@ let drive st ~fleet_map ~workers ~checkpoint =
           let s = stepping.(k) in
           Printf.eprintf
             "nyx: fleet instance %d failed (%s); quarantined at sync epoch %d\n%!"
-            s.idx (exn_brief exn) st.acc.epoch;
+            s.idx (exn_brief exn) st.epoch;
           s.inst <- None
         | None -> ())
       errors;
@@ -514,16 +447,16 @@ let drive st ~fleet_map ~workers ~checkpoint =
                Some d
              | None -> None)
     in
-    st.acc.work_ns <- st.acc.work_ns + List.fold_left ( + ) 0 segs;
-    st.acc.makespan_ns <- st.acc.makespan_ns + parallel_span ~workers segs;
+    st.work_ns <- st.work_ns + List.fold_left ( + ) 0 segs;
+    st.makespan_ns <- st.makespan_ns + parallel_span ~workers segs;
     if Nyx_obs.Trace.on () then
       Nyx_obs.Trace.span_begin ~vns:until "sync-epoch"
         [
-          ("epoch", Nyx_obs.Trace.Int st.acc.epoch);
+          ("epoch", Nyx_obs.Trace.Int st.epoch);
           ("stepped", Nyx_obs.Trace.Int (Array.length stepping));
         ];
     let row = barrier st ~until in
-    st.acc.rows <- row :: st.acc.rows;
+    st.rows <- row :: st.rows;
     if Nyx_obs.Trace.on () then
       Nyx_obs.Trace.span_end ~vns:until "sync-epoch"
         [
@@ -533,7 +466,7 @@ let drive st ~fleet_map ~workers ~checkpoint =
           ("union_edges", Nyx_obs.Trace.Int row.se_union_edges);
         ];
     match checkpoint with
-    | Some ck when st.acc.epoch mod ck.fc_every = 0 && any_unfinished st ->
+    | Some ck when st.epoch mod ck.fc_every = 0 && any_unfinished st ->
       write_fleet_checkpoint st ck
     | _ -> ()
   done;
@@ -553,34 +486,14 @@ let drive st ~fleet_map ~workers ~checkpoint =
     st.slots
 
 let finalize_sync st ~instances ~workers t0 =
-  let results =
-    Array.to_list st.slots
-    |> List.filter_map (fun s -> Option.map Campaign.finalize s.inst)
-  in
   let quarantined =
-    Array.fold_left
-      (fun n s -> if s.inst = None then n + 1 else n)
-      0 st.slots
+    Array.fold_left (fun n s -> if s.inst = None then n + 1 else n) 0 st.slots
   in
-  let solve_times = List.filter_map (fun r -> r.Report.solved_ns) results in
-  {
-    instances;
-    first_solve_ns =
-      (match solve_times with
-      | [] -> None
-      | ts -> Some (List.fold_left min max_int ts));
-    solves = List.length solve_times;
-    total_execs = List.fold_left (fun acc r -> acc + r.Report.execs) 0 results;
-    restarts = 0;
-    quarantined;
-    results;
-    wall_s = Nyx_parallel.Wall.now_s () -. t0;
-    domains = workers;
-    union_edges = Some (Coverage.Cumulative.edge_count st.union);
-    sync_epochs = List.rev st.acc.rows;
-    work_ns = st.acc.work_ns;
-    makespan_ns = st.acc.makespan_ns;
-  }
+  outcome ~instances ~workers ~restarts:0 ~quarantined
+    ~union_edges:(Some (Coverage.Cumulative.edge_count st.union))
+    ~sync_epochs:(List.rev st.rows) ~work_ns:st.work_ns
+    ~makespan_ns:st.makespan_ns t0
+    (Array.to_list st.slots |> List.filter_map (fun s -> Option.map Campaign.finalize s.inst))
 
 (* Persistent pool for the whole synced run: worker domains are spawned
    once and reused across every epoch (batched submission amortizes the
@@ -591,41 +504,41 @@ let with_fleet_pool ~workers ~instances ~batch f =
         f { fmap = (fun g arr -> Pool.map_pool pool ~batch g arr) })
   else f { fmap = (fun g arr -> Array.map g arr) }
 
-let run_synced ~instances ~workers ~sync_ns ~sync_import ~batch ~peer
-    ~peer_faults ~profile ~checkpoint ~config entry t0 =
-  let st =
-    {
-      slots =
-        Array.of_list
-          (List.map
-             (fun (idx, _) -> { idx; inst = None; prev_ns = 0 })
-             (derived_configs ~instances ~config));
-      union = Coverage.Cumulative.create ();
-      acc = { epoch = 0; rows = []; work_ns = 0; makespan_ns = 0; ck_ordinal = 0 };
-      sync_ns;
-      sync_import;
-    }
+(* The synced fleet, fresh or resumed: boot every slot in parallel (pure
+   per slot, so the fan-out cannot perturb determinism; a failing boot
+   quarantines the slot), then drive the epochs to the end. The two
+   callers differ only in what a slot holds and how [boot] starts it. *)
+let run_synced ~workers ~batch ~checkpoint ~boot (st : _ sync_state) entry t0 =
+  let instances = Array.length st.slots in
+  let batch =
+    match batch with
+    | Some b when b >= 1 -> b
+    | Some _ | None -> max 1 (instances / max 1 workers)
   in
-  with_fleet_pool ~workers ~instances ~batch (fun fleet_map ->
-      (* Boot the instances in parallel (pure per config, so the boot
-         fan-out cannot perturb determinism). A failing boot quarantines
-         the slot immediately. *)
-      let boots =
-        fleet_map.fmap
-          (fun (_, cfg) ->
-            try
-              Some
-                (Campaign.start ?peer ?peer_faults ~profile
-                   ~collect_exports:true cfg entry)
-            with exn ->
-              Printf.eprintf "nyx: fleet instance boot failed (%s)\n%!"
-                (exn_brief exn);
-              None)
-          (Array.of_list (derived_configs ~instances ~config))
+  traced ~instances ~sync_ns:(Some st.sync_ns) entry (fun () ->
+      let live =
+        with_fleet_pool ~workers ~instances ~batch (fun fleet_map ->
+            let boots =
+              fleet_map.fmap
+                (fun s ->
+                  match s.inst with
+                  | None -> None
+                  | Some x -> (
+                    try Some (boot x)
+                    with exn ->
+                      Printf.eprintf
+                        "nyx: fleet instance %d boot failed (%s); quarantined\n%!"
+                        s.idx (exn_brief exn);
+                      None))
+                st.slots
+            in
+            let live =
+              { st with slots = Array.map2 (fun s inst -> { s with inst }) st.slots boots }
+            in
+            drive live ~fleet_map ~workers ~checkpoint;
+            live)
       in
-      Array.iteri (fun i b -> st.slots.(i).inst <- b) boots;
-      drive st ~fleet_map ~workers ~checkpoint);
-  finalize_sync st ~instances ~workers t0
+      finalize_sync live ~instances ~workers t0)
 
 (* ------------------------------------------------------------------ *)
 
@@ -634,88 +547,46 @@ let run ?(instances = 52) ?domains ?(max_restarts = 3) ?run_instance ?peer
     ?checkpoint ~config entry =
   let t0 = Nyx_parallel.Wall.now_s () in
   let workers = resolved_domains domains in
-  trace_fleet_begin ~instances ~sync_ns entry;
-  let outcome =
-    match sync_ns with
-    | None ->
-      if checkpoint <> None then
-        invalid_arg "Fleet.run: ~checkpoint requires ~sync_ns";
-      run_independent ~instances ~workers ~max_restarts ~run_instance ~peer
-        ~peer_faults ~profile ~config entry t0
-    | Some s when s <= 0 -> invalid_arg "Fleet.run: sync_ns must be positive"
-    | Some sync_ns ->
-      if run_instance <> None then
-        invalid_arg "Fleet.run: ~run_instance is independent-mode only";
-      let batch =
-        match batch with
-        | Some b when b >= 1 -> b
-        | Some _ | None -> max 1 (instances / max 1 workers)
-      in
-      run_synced ~instances ~workers ~sync_ns ~sync_import ~batch ~peer
-        ~peer_faults ~profile ~checkpoint ~config entry t0
-  in
-  trace_fleet_end outcome;
-  outcome
+  match sync_ns with
+  | None ->
+    if checkpoint <> None then
+      invalid_arg "Fleet.run: ~checkpoint requires ~sync_ns";
+    traced ~instances ~sync_ns entry (fun () ->
+        run_independent ~instances ~workers ~max_restarts ~run_instance ~peer
+          ~peer_faults ~profile ~config entry t0)
+  | Some s when s <= 0 -> invalid_arg "Fleet.run: sync_ns must be positive"
+  | Some sync_ns ->
+    if run_instance <> None then
+      invalid_arg "Fleet.run: ~run_instance is independent-mode only";
+    let st =
+      {
+        slots =
+          Array.of_list
+            (List.map
+               (fun (idx, cfg) -> { idx; inst = Some cfg; prev_ns = 0 })
+               (derived_configs ~instances ~config));
+        union = Coverage.Cumulative.create ();
+        sync_ns;
+        sync_import;
+        epoch = 0;
+        rows = [];
+        work_ns = 0;
+        makespan_ns = 0;
+        ck_ordinal = 0;
+      }
+    in
+    run_synced ~workers ~batch ~checkpoint st entry t0 ~boot:(fun cfg ->
+        Campaign.start ?peer ?peer_faults ~profile ~collect_exports:true cfg entry)
 
 let resume ?domains ?batch ?(profile = false) ?checkpoint ~path entry =
   let t0 = Nyx_parallel.Wall.now_s () in
-  let buf =
-    match Nyx_resilience.Atomic_io.read_file path with
-    | Ok b -> b
-    | Error m -> invalid_arg ("Fleet.resume: " ^ m)
-  in
-  let d =
-    match decode_fleet buf with
-    | Ok d -> d
-    | Error m -> invalid_arg ("Fleet.resume: " ^ m)
-  in
-  let instances = Array.length d.d_slots in
-  let workers = resolved_domains domains in
-  let batch =
-    match batch with
-    | Some b when b >= 1 -> b
-    | Some _ | None -> max 1 (instances / max 1 workers)
-  in
-  trace_fleet_begin ~instances ~sync_ns:(Some d.d_sync_ns) entry;
-  let union = Coverage.Cumulative.create () in
-  Coverage.Cumulative.load_state union d.d_virgin;
   let st =
-    {
-      slots = Array.init instances (fun idx -> { idx; inst = None; prev_ns = 0 });
-      union;
-      acc = d.d_acc;
-      sync_ns = d.d_sync_ns;
-      sync_import = d.d_sync_import;
-    }
+    match Nyx_resilience.Atomic_io.read_file path with
+    | Error m -> invalid_arg ("Fleet.resume: " ^ m)
+    | Ok buf -> (
+      try Codec.unframe ~magic:fleet_magic fleet_codec buf
+      with Codec.Corrupt m ->
+        invalid_arg (Printf.sprintf "Fleet.resume: %s: %s" path m))
   in
-  with_fleet_pool ~workers ~instances ~batch (fun fleet_map ->
-      (* Re-boot the surviving instances in parallel (deterministic per
-         checkpoint, exactly like Campaign.resume). *)
-      let boots =
-        fleet_map.fmap
-          (fun (idx, slot_data) ->
-            match slot_data with
-            | None -> None
-            | Some (prev_ns, ckpt) -> (
-              try
-                Some
-                  (prev_ns, Campaign.resume_inst ~profile ~collect_exports:true ckpt entry)
-              with exn ->
-                Printf.eprintf
-                  "nyx: fleet instance %d resume failed (%s); quarantined\n%!"
-                  idx (exn_brief exn);
-                None))
-          (Array.mapi (fun i s -> (i, s)) d.d_slots)
-      in
-      Array.iteri
-        (fun i b ->
-          match b with
-          | Some (prev_ns, inst) ->
-            st.slots.(i).inst <- Some inst;
-            st.slots.(i).prev_ns <- prev_ns
-          | None -> ())
-        boots;
-      drive st ~fleet_map ~workers ~checkpoint);
-  let outcome = finalize_sync st ~instances ~workers t0 in
-  trace_fleet_end outcome;
-  outcome
+  run_synced ~workers:(resolved_domains domains) ~batch ~checkpoint st entry t0
+    ~boot:(fun ckpt -> Campaign.resume_inst ~profile ~collect_exports:true ckpt entry)

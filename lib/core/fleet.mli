@@ -162,5 +162,10 @@ val resume :
     re-booted deterministically ({!Campaign.resume_inst}) and the epoch
     loop continues; the outcome is bit-identical to the uninterrupted
     run's modulo wall-clock fields, at any [domains]/[batch].
-    @raise Invalid_argument on unreadable or corrupt checkpoints, or if
-    the checkpoint's target does not match [entry]. *)
+    The file is ["NYXFLT2"]: the fleet's sync state with one embedded
+    {!Checkpoint.codec} body per live instance, and a CRC-32 trailer.
+    An instance that fails to re-boot (for example because the
+    checkpoint's target does not match [entry]) is quarantined, as a
+    failing boot is in {!run}.
+    @raise Invalid_argument on unreadable or corrupt checkpoints (any
+    flipped byte or truncation) and on v1 (["NYXFLT1"]) files. *)

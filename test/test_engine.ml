@@ -285,7 +285,7 @@ let run_with_kill ~kill_at path =
 let prop_typed_kill_resume =
   (* Kill at any checkpoint + resume must replay the typed engine's
      selection stream and EWMA credits bit-for-bit (the engine state
-     rides in the NYXCKP1 c_mut_* fields). *)
+     rides in the checkpoint's c_mut_* fields). *)
   let base = lazy (Campaign.run ck_config (echo_entry ())) in
   QCheck.Test.make
     ~name:"typed engine: kill at any checkpoint + resume == straight run"

@@ -675,6 +675,40 @@ let test_checkpoint_rejects_corrupt () =
         d));
   check_bool "empty" true (corrupt Bytes.empty)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* Format v2 keeps v1's body layout byte for byte: the digest below is
+   what the NYXCKP1 encoder wrote after its magic for [sample_checkpoint].
+   v2 only changes the magic and appends a CRC-32 of the body. *)
+let test_checkpoint_layout_pinned () =
+  let enc = Checkpoint.encode (sample_checkpoint ()) in
+  let n = Bytes.length enc in
+  Alcotest.(check string) "magic" "NYXCKP2" (Bytes.sub_string enc 0 7);
+  Alcotest.(check string)
+    "body digest" "bd328590546712b5fd97673037a0ab40"
+    (Digest.to_hex (Digest.string (Bytes.sub_string enc 7 (n - 11))));
+  check_int "CRC-32 check value" 0xCBF43926 (Codec.crc32 (b "123456789") 0 9);
+  check_int "trailer is the body's CRC-32"
+    (Codec.crc32 enc 7 (n - 11))
+    (Int32.to_int (Bytes.get_int32_be enc (n - 4)) land 0xFFFFFFFF)
+
+let test_checkpoint_rejects_v1 () =
+  let enc = Checkpoint.encode (sample_checkpoint ()) in
+  let v1 = Bytes.cat (b "NYXCKP1") (Bytes.sub enc 7 (Bytes.length enc - 11)) in
+  let path = Filename.temp_file "nyx_ckpt_v1" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      (match Atomic_io.write_file path v1 with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail m);
+      match Checkpoint.load path with
+      | Ok _ -> Alcotest.fail "a v1 checkpoint must be rejected"
+      | Error m -> check_bool ("error names the format: " ^ m) true (contains m "NYXCKP1"))
+
 (* ------------------------------------------------------------------ *)
 (* Checkpoint/resume determinism                                       *)
 
@@ -760,6 +794,119 @@ let prop_kill_resume_bit_identical =
             let resumed = Campaign.resume ckpt (echo_entry ()) in
             Report.same_deterministic resumed expected))
 
+let long_config = { ck_config with Campaign.max_execs = max_int }
+
+(* [restore] is the inverse of [capture]: resuming a checkpoint and
+   capturing again at once gives back the same checkpoint, for every
+   part of the state a campaign can carry. *)
+let inverse_case case =
+  let entry name = Option.get (Nyx_targets.Registry.find name) in
+  match case with
+  | 0 -> ("echo, aggressive", entry "echo", fun e -> Campaign.start long_config e)
+  | 1 ->
+    ( "proftpd, dynamic + typed",
+      entry "proftpd",
+      fun e ->
+        Campaign.start
+          { long_config with Campaign.policy = Policy.Dynamic; engine = Engines.Typed }
+          e )
+  | 2 ->
+    ( "tinydtls, peer + all:0.02",
+      entry "tinydtls",
+      fun e ->
+        Campaign.start
+          ~peer:(Option.get (Nyx_peer.Peer_script.find "tinydtls"))
+          ~faults:faults_spec
+          { long_config with Campaign.policy = Policy.Balanced }
+          e )
+  | _ -> ("lightftp, profiled", entry "lightftp", fun e -> Campaign.start ~profile:true long_config e)
+
+let prop_restore_inverts_capture =
+  QCheck.Test.make ~name:"checkpoint_now (resume_inst ck) = ck" ~count:4
+    QCheck.(int_range 1 20)
+    (fun tenths ->
+      List.for_all
+        (fun case ->
+          let label, entry, start = inverse_case case in
+          let inst = start entry in
+          Campaign.step inst ~until_ns:(tenths * 100_000_000);
+          let ck = Campaign.checkpoint_now inst in
+          let profile = ck.Checkpoint.c_profile <> None in
+          let again = Campaign.checkpoint_now (Campaign.resume_inst ~profile ck entry) in
+          again = ck || QCheck.Test.fail_reportf "%s: not the same checkpoint" label)
+        [ 0; 1; 2; 3 ])
+
+(* The plan of a resumed campaign is the checkpoint's, never NYX_FAULTS. *)
+let test_resume_ignores_env_faults () =
+  let entry = echo_entry () in
+  let inst = Campaign.start long_config entry in
+  Campaign.step inst ~until_ns:500_000_000;
+  let ck = Campaign.checkpoint_now inst in
+  Unix.putenv "NYX_FAULTS" "all:0.5";
+  let again =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "NYX_FAULTS" "")
+      (fun () -> Campaign.checkpoint_now (Campaign.resume_inst ck entry))
+  in
+  check_bool "no plan armed from the environment" true (again = ck)
+
+(* Every truncation at a fixed stride (plus the last eight lengths, which
+   cut into the CRC trailer) and 500 seeded single-byte flips of a real
+   file must be rejected: never accepted, never any other exception. *)
+let sweep ~what ~rejected data =
+  let n = Bytes.length data in
+  let accepted = ref [] in
+  let attempt desc d = if not (rejected d) then accepted := desc :: !accepted in
+  for len = 0 to n - 1 do
+    if len mod 997 = 0 || len >= n - 8 then
+      attempt (Printf.sprintf "cut at %d" len) (Bytes.sub data 0 len)
+  done;
+  let rng = Random.State.make [| 2022 |] in
+  for _ = 1 to 500 do
+    let i = Random.State.int rng n in
+    let x = 1 + Random.State.int rng 255 in
+    let d = Bytes.copy data in
+    Bytes.set d i (Char.chr (Char.code (Bytes.get d i) lxor x));
+    attempt (Printf.sprintf "byte %d xor %d" i x) d
+  done;
+  Alcotest.(check (list string)) (what ^ ": nothing accepted") [] (List.rev !accepted)
+
+let with_file f =
+  let path = Filename.temp_file "nyx_sweep" ".bin" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) (fun () -> f path)
+
+let put path d = Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc d)
+
+let test_corruption_sweep_campaign () =
+  let inst = Campaign.start long_config (echo_entry ()) in
+  Campaign.step inst ~until_ns:1_000_000_000;
+  let data = Checkpoint.encode (Campaign.checkpoint_now inst) in
+  with_file (fun path ->
+      let rejected d =
+        put path d;
+        match Checkpoint.load path with Error _ -> true | Ok _ -> false | exception _ -> false
+      in
+      check_bool "intact checkpoint loads" false (rejected data);
+      sweep ~what:"campaign checkpoint" ~rejected data)
+
+let test_corruption_sweep_fleet () =
+  let entry = echo_entry () in
+  with_file (fun path ->
+      let checkpoint = Fleet.checkpointing ~path ~every_epochs:2 () in
+      ignore
+        (Fleet.run ~instances:2 ~domains:1 ~sync_ns:150_000_000 ~checkpoint
+           ~config:long_config entry);
+      let data = ok (Atomic_io.read_file path) in
+      check_bool "fleet checkpoint written" true (Bytes.length data > 0);
+      let rejected d =
+        put path d;
+        match Fleet.resume ~domains:1 ~path entry with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+        | exception _ -> false
+      in
+      sweep ~what:"fleet checkpoint" ~rejected data)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -837,5 +984,16 @@ let () =
           Alcotest.test_case "resume rejects foreign target" `Quick
             test_resume_target_mismatch;
           QCheck_alcotest.to_alcotest prop_kill_resume_bit_identical;
+          Alcotest.test_case "v2 body keeps the v1 layout" `Quick
+            test_checkpoint_layout_pinned;
+          Alcotest.test_case "rejects v1 files by name" `Quick
+            test_checkpoint_rejects_v1;
+          QCheck_alcotest.to_alcotest prop_restore_inverts_capture;
+          Alcotest.test_case "resume ignores NYX_FAULTS" `Quick
+            test_resume_ignores_env_faults;
+          Alcotest.test_case "corruption sweep: campaign" `Quick
+            test_corruption_sweep_campaign;
+          Alcotest.test_case "corruption sweep: fleet" `Quick
+            test_corruption_sweep_fleet;
         ] );
     ]
