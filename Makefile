@@ -89,7 +89,7 @@ bench-hotpath:
 # the matrix. Writes BENCH_snapshot.json. Fully deterministic (virtual
 # clock), so the gate result is reproducible bit-for-bit.
 bench-snapshot:
-	NYX_BENCH_SNAP_GATE=1 dune exec bench/main.exe -- snapshot_matrix
+	dune exec bench/main.exe -- snapshot_matrix
 
 # Mutation-engine matrix: havoc vs typed (splice + generate) across the
 # protocol targets, scored by executions-to-coverage on the exec-keyed
@@ -97,7 +97,7 @@ bench-snapshot:
 # frontier within the havoc engine's exec count on at least half the
 # matrix. Writes BENCH_mutation.json. Fully deterministic.
 bench-mutation:
-	NYX_BENCH_MUT_GATE=1 dune exec bench/main.exe -- mutation_matrix
+	dune exec bench/main.exe -- mutation_matrix
 
 # Peer-vs-bytecode matrix: --mode peer campaigns (scripted peer with
 # encoder faults armed) vs bytecode campaigns at the same seed/budget on
@@ -106,7 +106,7 @@ bench-mutation:
 # 2 of the 3 targets. Also asserts peer determinism and zero aborted
 # encoder faults. Writes BENCH_peer.json. Fully deterministic.
 bench-peer:
-	NYX_BENCH_PEER_GATE=1 dune exec bench/main.exe -- peer_matrix
+	dune exec bench/main.exe -- peer_matrix
 
 # The full paper evaluation (slow).
 bench:

@@ -4,20 +4,24 @@
 
    Usage:  dune exec bench/main.exe [-- EXPERIMENT... [--budget S] [--sync-ms MS]]
    Experiments: table1 table2 table3 table4 table5 fig5 fig6 scalability
-                ablation_reuse ablation_dirty ablation_boundary
-                ablation_remirror bechamel parallel_smoke snapshot_matrix
+                faster_than_light ablation_reuse ablation_dirty
+                ablation_boundary ablation_remirror ablation_typed
+                case_studies bechamel parallel_smoke snapshot_matrix
                 mutation_matrix hotpath peer_matrix faultcheck statecheck all
+   The snapshot_matrix, mutation_matrix and peer_matrix gates, hotpath's
+   2x check, faultcheck and statecheck fail the run when not met.
    Flags:
      --budget S      parallel_smoke virtual budget in seconds
                      (default NYX_BENCH_SMOKE_BUDGET_S, then 10)
      --sync-ms MS    parallel_smoke corpus-sync interval in virtual ms
                      (default NYX_BENCH_SMOKE_SYNC_MS, then 250)
    Environment:
-     NYX_BENCH_BUDGET_S    virtual seconds per campaign (default 20)
+     NYX_BENCH_BUDGET_S    virtual seconds per campaign (default 30)
      NYX_BENCH_REPS        repetitions per cell (default 1; paper used 10)
      NYX_BENCH_MAX_EXECS   execution cap per campaign (default 30000)
      NYX_BENCH_MARIO       comma-separated levels for table4
                            (default "1-1,1-2,1-3,1-4,2-1"; "all" = 32 levels)
+     NYX_BENCH_MARIO_REPS  attempts per table4 level (default 3)
      NYX_BENCH_OUT         CSV output directory (default "bench_out")
      NYX_DOMAINS           worker domains for matrix cells / fleets
                            (default: recommended count; 1 = sequential).
@@ -28,33 +32,21 @@
      NYX_BENCH_SMOKE_SYNC_MS   corpus-sync interval for parallel_smoke (default 250)
      NYX_BENCH_SCALE_GATE  if set (e.g. "0.7"), parallel_smoke fails when any
                            fleet size N scores mean speedup < gate * N
-     NYX_BENCH_SNAP_TARGETS    comma-separated snapshot_matrix target list
-     NYX_BENCH_SNAP_BUDGET_S   virtual budget for snapshot_matrix (default 8)
-     NYX_BENCH_SNAP_MAX_EXECS  execution cap for snapshot_matrix (default 25000)
-     NYX_BENCH_SNAP_GATE   if set, snapshot_matrix fails unless the dynamic
-                           policy beats the best static policy (virtual
-                           time-to-frontier) on at least half the targets
-     NYX_BENCH_MUT_TARGETS     comma-separated mutation_matrix target list
-     NYX_BENCH_MUT_BUDGET_S    virtual budget for mutation_matrix (default 8)
-     NYX_BENCH_MUT_MAX_EXECS   execution cap for mutation_matrix (default 25000)
-     NYX_BENCH_MUT_GATE    if set, mutation_matrix fails unless the typed
-                           engine reaches the per-target coverage frontier
-                           in <= the havoc engine's executions on at least
-                           half the targets
      NYX_BENCH_HOTPATH_EXECS   coverage-bound execs for hotpath (default 3000)
      NYX_BENCH_HOTPATH_PHASE_ITERS  per-phase iterations for hotpath (default 2000)
-     NYX_BENCH_PEER_TARGETS    comma-separated peer_matrix target list
-     NYX_BENCH_PEER_BUDGET_S   virtual budget for peer_matrix (default 6)
-     NYX_BENCH_PEER_MAX_EXECS  execution cap for peer_matrix (default 20000)
-     NYX_BENCH_PEER_GATE   if set, peer_matrix fails unless peer mode beats
-                           bytecode (strictly more edges, or a peer-only
-                           crash kind) on at least 2 of its 3 targets
      NYX_STATECHECK_MUTANTS    statecheck mutants per seed (default 3) *)
 
 open Nyx_core
 
 let env_int name default =
-  match Sys.getenv_opt name with Some v -> int_of_string v | None -> default
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some v -> (
+    match int_of_string_opt v with
+    | Some n -> n
+    | None ->
+      Printf.eprintf "%s expects an integer, got %S\n" name v;
+      exit 1)
 
 (* Command-line flags. Domain-safety invariant (domain-safe): written
    once during argv parsing in [main], before any worker domain exists;
@@ -80,10 +72,48 @@ let ensure_out_dir () = if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 
 let write_csv name lines =
   ensure_out_dir ();
   let path = Filename.concat out_dir name in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+  Out_channel.with_open_text path (fun oc ->
       List.iter (fun l -> output_string oc (l ^ "\n")) lines);
   Printf.printf "  [csv] %s\n%!" path
+
+(* Every JSON record (BENCH_*.json, STATECHECK.json, FAULTCHECK.json)
+   is written here. *)
+let write_json path body =
+  Out_channel.with_open_text path (fun oc -> output_string oc (body ^ "\n"));
+  Printf.printf "  [json] %s\n%!" path
+
+(* A JSON object with one ["key": value] per line; values come rendered. *)
+let json_obj fields =
+  Printf.sprintf "{\n%s\n}"
+    (String.concat ",\n" (List.map (fun (k, v) -> Printf.sprintf "  %S: %s" k v) fields))
+
+(* A JSON array value of [json_obj], one pre-indented element per line. *)
+let json_lines items = Printf.sprintf "[\n%s\n  ]" (String.concat ",\n" items)
+
+(* Where a wall-clock record came from: its numbers only compare across
+   runs with the same commit, host and runtime settings. The
+   deterministic records leave it out, since CI diffs them byte for
+   byte against the committed copies. *)
+let provenance () =
+  let commit =
+    try
+      let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+      let line = In_channel.input_line ic in
+      match (Unix.close_process_in ic, line) with
+      | Unix.WEXITED 0, Some c when c <> "" -> c
+      | _ -> "unknown"
+    with Unix.Unix_error _ | Sys_error _ -> "unknown"
+  in
+  Printf.sprintf
+    "{\"commit\": %S, \"recommended_domain_count\": %d, \"nyx_domains\": %d, \
+     \"ocaml_version\": %S, \"ocamlrunparam\": %s}"
+    commit
+    (Domain.recommended_domain_count ())
+    (Nyx_parallel.Pool.default_domains ())
+    Sys.ocaml_version
+    (match Sys.getenv_opt "OCAMLRUNPARAM" with
+    | Some s -> Printf.sprintf "%S" s
+    | None -> "null")
 
 (* ------------------------------------------------------------------ *)
 (* The campaign matrix: fuzzer x target x repetition, computed lazily. *)
@@ -1049,6 +1079,7 @@ let parallel_smoke () =
   let json =
     Printf.sprintf
       "{\n\
+      \  \"provenance\": %s,\n\
       \  \"virtual_budget_s\": %d,\n\
       \  \"sync_interval_ms\": %d,\n\
       \  \"scaling\": [\n%s\n\
@@ -1063,7 +1094,7 @@ let parallel_smoke () =
       \  \"mean_speedup\": %.3f,\n\
       \  \"parallel_identical_to_sequential\": %b\n\
        }"
-      budget_s sync_ms
+      (provenance ()) budget_s sync_ms
       (String.concat ",\n"
          (List.map
             (fun (n, rows, mean) ->
@@ -1092,11 +1123,7 @@ let parallel_smoke () =
       dedup_target dedup_n frontier (hit_json synced_hit) (hit_json observer_hit)
       mean_speedup all_identical
   in
-  let path = "BENCH_parallel.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (json ^ "\n"));
-  Printf.printf "  [json] %s\n" path;
+  write_json "BENCH_parallel.json" json;
   if not all_identical then
     failwith "parallel_smoke: fleet results differ across domain counts";
   match Sys.getenv_opt "NYX_BENCH_SCALE_GATE" with
@@ -1291,6 +1318,7 @@ let hotpath () =
   let json =
     Printf.sprintf
       "{\n\
+      \  \"provenance\": %s,\n\
       \  \"execs\": %d,\n\
       \  \"identical_results\": true,\n\
       \  \"final_edges\": %d,\n\
@@ -1300,7 +1328,7 @@ let hotpath () =
       \  \"speedup\": %.2f,\n\
       \  \"phases_ns_per_iter\": {\n%s\n  }\n\
        }"
-      execs after_edges after_corpus_n (eps before_wall) (npe before_wall)
+      (provenance ()) execs after_edges after_corpus_n (eps before_wall) (npe before_wall)
       (eps after_wall) (npe after_wall) speedup
       (String.concat ",\n"
          (List.map
@@ -1308,11 +1336,7 @@ let hotpath () =
               Printf.sprintf "    \"%s\": {\"before\": %.1f, \"after\": %.1f}" name b a)
             phases))
   in
-  let path = "BENCH_hotpath.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (json ^ "\n"));
-  Printf.printf "  [json] %s\n" path;
+  write_json "BENCH_hotpath.json" json;
   if speedup < 2.0 then failwith "hotpath: expected >= 2x execs/sec on the smoke campaign"
 
 (* ------------------------------------------------------------------ *)
@@ -1506,11 +1530,8 @@ let faultcheck () =
       pres.Report.faults_recovered pres.Report.faults_aborted
       pstats.Report.peer_desyncs pstats.Report.peer_quarantines
   in
-  let path = "FAULTCHECK.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (json ^ "\n"));
-  Printf.printf "  [json] %s\n  faultcheck OK\n%!" path
+  write_json "FAULTCHECK.json" json;
+  Printf.printf "  faultcheck OK\n%!"
 
 (* ------------------------------------------------------------------ *)
 (* Static-vs-dynamic boundary conformance (make statecheck / CI): on
@@ -1619,11 +1640,7 @@ let statecheck () =
                 name progs obs feas residue viol)
             rows))
   in
-  let path = "STATECHECK.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (json ^ "\n"));
-  Printf.printf "  [json] %s\n%!" path;
+  write_json "STATECHECK.json" json;
   if !total_viol > 0 then
     failwith
       (Printf.sprintf
@@ -1633,148 +1650,143 @@ let statecheck () =
   Printf.printf "  statecheck OK\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot placement matrix: all four policies on the long-session
-   targets, scored by virtual time-to-coverage. The frontier per target
-   is the weakest policy's final coverage — every policy reaches it, so
-   "first virtual ns reaching the frontier" is a fair race. The dynamic
-   policy must strictly beat the best *static* policy on at least half
-   the matrix when NYX_BENCH_SNAP_GATE is set (the CI snapshot-gate).
+(* Gate matrices: arms x targets, one campaign per cell — the shape of
+   the paper's Tables 2–5, shared by the snapshot, mutation and peer CI
+   gates. Per target the frontier is the weakest arm's final coverage
+   (every arm reaches it, so a race to it is fair); [score] rates each
+   arm's campaign against it and [beats] says whether the challenger
+   won the target. The runner prints the table, writes the JSON record
+   and fails the run unless the challenger wins at least [num/den] of
+   the targets. Every cell is a pure function of its seed, so table,
+   record and verdict are the same whatever NYX_DOMAINS says.          *)
+
+type gate_row = {
+  target : string;
+  frontier : int;
+  cells : (string * (Report.campaign_result * int)) list;
+      (** arm name -> (campaign, score), in arm order *)
+  win : bool;
+}
+
+let arm_score cells arm = snd (List.assoc arm cells)
+
+let gate_matrix ~name ~claim ~arms ~targets ~score ~show ~beats
+    ~gate:(num, den) ~path ~json =
+  let results =
+    Nyx_parallel.Pool.map_list
+      (fun (t, (_, run)) -> run (Option.get (Nyx_targets.Registry.find t)))
+      (List.concat_map (fun t -> List.map (fun arm -> (t, arm)) arms) targets)
+  in
+  Printf.printf "%-12s %10s" "target" "frontier";
+  List.iter (fun (a, _) -> Printf.printf " %18s" a) arms;
+  Printf.printf "   win\n";
+  let width = List.length arms in
+  let rows =
+    List.mapi
+      (fun i target ->
+        let rs = List.filteri (fun j _ -> j / width = i) results in
+        let frontier =
+          List.fold_left (fun acc r -> min acc r.Report.final_edges) max_int rs
+        in
+        let cells = List.map2 (fun (a, _) r -> (a, (r, score ~frontier r))) arms rs in
+        let win = beats cells in
+        Printf.printf "%-12s %10d" target frontier;
+        List.iter (fun (_, (_, s)) -> Printf.printf " %18s" (show s)) cells;
+        Printf.printf "   %s\n%!" (if win then "yes" else "no");
+        { target; frontier; cells; win })
+      targets
+  in
+  let wins = List.length (List.filter (fun r -> r.win) rows) in
+  let n = List.length rows in
+  Printf.printf "\n  %s on %d/%d targets\n" claim wins n;
+  write_json path (json ~wins rows);
+  if wins * den < num * n then
+    failwith
+      (Printf.sprintf "%s: %s on only %d/%d targets (gate requires at least %d/%d)"
+         name claim wins n num den)
+
+(* The first point of [timeline] at or above the frontier; a campaign
+   that never got there (impossible for a min frontier) scores [default]. *)
+let first_reaching timeline ~frontier ~default =
+  Option.value ~default
+    (Nyx_sim.Stats.Timeline.first_time_reaching timeline (float_of_int frontier))
+
+(* The snapshot and mutation gates race on protocol-diverse targets whose
+   seed sessions are long enough for mid-stream placement (>=
+   Policy.min_packets_for_snapshot program packets): SMTP, FTP x3, RTSP
+   and TLS. *)
+let long_session_targets = [ "exim"; "lightftp"; "live555"; "openssl"; "proftpd"; "pure-ftpd" ]
+let matrix_budget_s = 8
+let matrix_max_execs = 25_000
+
+let matrix_config ~policy ~engine =
+  {
+    Campaign.default_config with
+    Campaign.policy;
+    engine;
+    budget_ns = matrix_budget_s * 1_000_000_000;
+    max_execs = matrix_max_execs;
+    seed = 7;
+    sample_interval_ns = 100_000_000;
+  }
+
+let matrix_preamble title =
+  Printf.printf "\n== %s ==\n\n  %ds virtual budget, %d exec cap, seed 7, targets: %s\n\n"
+    title matrix_budget_s matrix_max_execs (String.concat " " long_session_targets)
+
+(* ------------------------------------------------------------------ *)
+(* Snapshot placement gate (make bench-snapshot / CI): all four
+   policies, scored by virtual time-to-frontier; the dynamic policy must
+   strictly beat the best *static* policy on at least half the targets.
    Emits BENCH_snapshot.json.                                           *)
 
 let snap_policies = [ Policy.None_; Policy.Balanced; Policy.Aggressive; Policy.Dynamic ]
 
-let snapshot_matrix () =
-  Printf.printf "\n== Snapshot placement matrix: virtual time-to-coverage per policy ==\n\n";
-  let budget_s = env_int "NYX_BENCH_SNAP_BUDGET_S" 8 in
-  let snap_execs = env_int "NYX_BENCH_SNAP_MAX_EXECS" 25_000 in
-  let budget_ns = budget_s * 1_000_000_000 in
-  (* Protocol-diverse targets whose seed sessions are long enough for
-     mid-stream placement (>= Policy.min_packets_for_snapshot program
-     packets): SMTP, FTP x3, RTSP and TLS. *)
-  let names =
-    match Sys.getenv_opt "NYX_BENCH_SNAP_TARGETS" with
-    | Some s when String.trim s <> "" ->
-      List.filter (fun n -> n <> "") (String.split_on_char ',' (String.trim s))
-    | _ -> [ "exim"; "lightftp"; "live555"; "openssl"; "proftpd"; "pure-ftpd" ]
-  in
-  let cfg policy =
-    {
-      Campaign.policy;
-      budget_ns;
-      max_execs = snap_execs;
-      seed = 7;
-      asan = false;
-      stop_on_solve = false;
-      trim = false;
-      sample_interval_ns = 100_000_000;
-      engine = Engines.Havoc;
-      mutator_weights = [];
-    }
-  in
-  Printf.printf "  %ds virtual budget, %d exec cap, targets: %s\n\n" budget_s
-    snap_execs (String.concat " " names);
-  (* One campaign per (target, policy); each is a pure function of the
-     seed, so the fan-out is deterministic whatever NYX_DOMAINS says. *)
-  let tasks =
-    List.concat_map (fun n -> List.map (fun pol -> (n, pol)) snap_policies) names
-  in
-  let results =
-    Nyx_parallel.Pool.map_list
-      (fun (n, pol) ->
-        let entry = Option.get (Nyx_targets.Registry.find n) in
-        (n, pol, Campaign.run (cfg pol) entry))
-      tasks
-  in
-  let by_target n = List.filter (fun (tn, _, _) -> tn = n) results in
-  Printf.printf "%-12s %10s" "target" "frontier";
-  List.iter (fun pol -> Printf.printf " %14s" (Policy.name pol)) snap_policies;
-  Printf.printf "   %s\n" "winner";
-  let wins = ref 0 in
-  let rows =
-    List.map
-      (fun n ->
-        let cells = by_target n in
-        let frontier =
-          List.fold_left
-            (fun acc (_, _, r) -> min acc r.Report.final_edges)
-            max_int cells
-        in
-        let ttc (r : Report.campaign_result) =
-          Option.value ~default:r.Report.virtual_ns
-            (Nyx_sim.Stats.Timeline.first_time_reaching r.Report.timeline
-               (float_of_int frontier))
-        in
-        let cell pol =
-          let _, _, r = List.find (fun (_, p, _) -> p = pol) cells in
-          (r, ttc r)
-        in
-        let per_policy = List.map (fun pol -> (pol, cell pol)) snap_policies in
-        let dyn_ttc = snd (List.assoc Policy.Dynamic per_policy) in
-        let best_static =
-          List.fold_left
-            (fun acc (pol, (_, t)) -> if pol = Policy.Dynamic then acc else min acc t)
-            max_int per_policy
-        in
-        let dynamic_wins = dyn_ttc < best_static in
-        if dynamic_wins then incr wins;
-        Printf.printf "%-12s %10d" n frontier;
-        List.iter
-          (fun pol ->
-            let _, t = List.assoc pol per_policy in
-            Printf.printf " %12.3fs%s" (float_of_int t /. 1e9)
-              (if pol = Policy.Dynamic && dynamic_wins then "*" else " "))
-          snap_policies;
-        Printf.printf "   %s\n%!" (if dynamic_wins then "dynamic" else "static");
-        (n, frontier, per_policy, dynamic_wins))
-      names
-  in
-  Printf.printf "\n  dynamic beats the best static policy on %d/%d targets\n" !wins
-    (List.length names);
-  (* Probe-cost ablation: rerun every seed's boundary probe with the
-     static feasibility prior (Nyx_analysis.Dataflow) off and on. The
-     prior may only skip hashes, never change the result — boundaries
-     must match exactly, and prior-on must hash strictly fewer indices
-     (it always skips at least the useless hash after the last packet). *)
+(* Probe-cost ablation: rerun every seed's boundary probe with the static
+   feasibility prior (Nyx_analysis.Dataflow) off and on. The prior may
+   only skip hashes, never change the result — boundaries must match
+   exactly, and prior-on must hash strictly fewer indices (it always
+   skips at least the useless hash after the last packet). Returns
+   (target, programs probed, dense hashes, prior hashes) per target. *)
+let probe_prior_ablation names =
   let nspec = Campaign.net_spec () in
-  let prior_rows =
-    List.map
-      (fun n ->
-        let entry = Option.get (Nyx_targets.Registry.find n) in
-        let udp =
-          entry.Nyx_targets.Registry.target.Nyx_targets.Target.info
-            .Nyx_targets.Target.proto = Nyx_netemu.Net.Udp
-        in
-        let seeds = Nyx_targets.Registry.seed_programs entry nspec in
-        let exec =
-          Executor.create ~net_spec:nspec entry.Nyx_targets.Registry.target
-        in
-        let dense = ref 0 and prior = ref 0 and probed = ref 0 in
-        List.iter
-          (fun p ->
-            let feasible = Nyx_analysis.Dataflow.feasible_boundaries ~udp p in
-            let b_off = Executor.state_boundaries exec p in
-            let h_off = Executor.last_probe_hashed exec in
-            let b_on = Executor.state_boundaries ~feasible exec p in
-            let h_on = Executor.last_probe_hashed exec in
-            if b_off <> b_on then
-              failwith
-                (Printf.sprintf
-                   "snapshot_matrix: static prior changed probe result on %s \
-                    ([%s] vs [%s])"
-                   n
-                   (String.concat ";" (List.map string_of_int b_off))
-                   (String.concat ";" (List.map string_of_int b_on)));
-            dense := !dense + h_off;
-            prior := !prior + h_on;
-            incr probed)
-          seeds;
-        (n, !probed, !dense, !prior))
-      names
-  in
-  let prior_wins =
-    List.length (List.filter (fun (_, _, d, p) -> p < d) prior_rows)
-  in
-  Printf.printf "\n  probe-cost ablation (state hashes across all seed probes):\n";
+  List.map
+    (fun n ->
+      let entry = Option.get (Nyx_targets.Registry.find n) in
+      let udp =
+        entry.Nyx_targets.Registry.target.Nyx_targets.Target.info
+          .Nyx_targets.Target.proto = Nyx_netemu.Net.Udp
+      in
+      let seeds = Nyx_targets.Registry.seed_programs entry nspec in
+      let exec = Executor.create ~net_spec:nspec entry.Nyx_targets.Registry.target in
+      let dense = ref 0 and prior = ref 0 and probed = ref 0 in
+      List.iter
+        (fun p ->
+          let feasible = Nyx_analysis.Dataflow.feasible_boundaries ~udp p in
+          let b_off = Executor.state_boundaries exec p in
+          let h_off = Executor.last_probe_hashed exec in
+          let b_on = Executor.state_boundaries ~feasible exec p in
+          let h_on = Executor.last_probe_hashed exec in
+          if b_off <> b_on then
+            failwith
+              (Printf.sprintf
+                 "snapshot_matrix: static prior changed probe result on %s \
+                  ([%s] vs [%s])"
+                 n
+                 (String.concat ";" (List.map string_of_int b_off))
+                 (String.concat ";" (List.map string_of_int b_on)));
+          dense := !dense + h_off;
+          prior := !prior + h_on;
+          incr probed)
+        seeds;
+      (n, !probed, !dense, !prior))
+    names
+
+let snapshot_matrix () =
+  matrix_preamble "Snapshot placement matrix: virtual time-to-coverage per policy";
+  let prior_rows = probe_prior_ablation long_session_targets in
+  let prior_wins = List.length (List.filter (fun (_, _, d, p) -> p < d) prior_rows) in
+  Printf.printf "  probe-cost ablation (state hashes across all seed probes):\n";
   Printf.printf "  %-12s %6s %12s %12s %8s\n" "target" "seeds" "dense" "prior" "saved";
   List.iter
     (fun (n, probed, dense, prior) ->
@@ -1784,235 +1796,137 @@ let snapshot_matrix () =
     prior_rows;
   Printf.printf
     "  prior hashes strictly fewer indices on %d/%d targets (boundaries \
-     identical)\n"
-    prior_wins (List.length names);
-  let json =
+     identical)\n\n"
+    prior_wins (List.length prior_rows);
+  let dynamic = Policy.name Policy.Dynamic in
+  let row_json r =
     Printf.sprintf
-      "{\n\
-      \  \"virtual_budget_s\": %d,\n\
-      \  \"max_execs\": %d,\n\
-      \  \"seed\": 7,\n\
-      \  \"targets\": [\n%s\n  ],\n\
-      \  \"probe_prior\": [\n%s\n  ],\n\
-      \  \"prior_strictly_fewer\": %d,\n\
-      \  \"dynamic_wins\": %d,\n\
-      \  \"matrix_size\": %d\n\
-       }"
-      budget_s snap_execs
+      "    {\"target\": %S, \"frontier_edges\": %d, \"dynamic_wins\": %b, \
+       \"policies\": [\n%s\n    ]}"
+      r.target r.frontier r.win
       (String.concat ",\n"
          (List.map
-            (fun (n, frontier, per_policy, dynamic_wins) ->
+            (fun (pol, ((c : Report.campaign_result), t)) ->
+              let placement =
+                match c.Report.placement with
+                | None -> ""
+                | Some p ->
+                  Printf.sprintf ", \"probes\": %d, \"moves\": %d, \"boundaries\": %d"
+                    p.Report.probes p.Report.moves p.Report.boundary_count
+              in
               Printf.sprintf
-                "    {\"target\": %S, \"frontier_edges\": %d, \"dynamic_wins\": %b, \
-                 \"policies\": [\n%s\n    ]}"
-                n frontier dynamic_wins
-                (String.concat ",\n"
-                   (List.map
-                      (fun (pol, ((r : Report.campaign_result), t)) ->
-                        let placement =
-                          match r.Report.placement with
-                          | None -> ""
-                          | Some p ->
-                            Printf.sprintf
-                              ", \"probes\": %d, \"moves\": %d, \"boundaries\": %d"
-                              p.Report.probes p.Report.moves p.Report.boundary_count
-                        in
-                        Printf.sprintf
-                          "      {\"policy\": %S, \"ttc_ns\": %d, \
-                           \"final_edges\": %d, \"execs\": %d%s}"
-                          (Policy.name pol) t r.Report.final_edges r.Report.execs
-                          placement)
-                      per_policy)))
-            rows))
-      (String.concat ",\n"
-         (List.map
-            (fun (n, probed, dense, prior) ->
-              Printf.sprintf
-                "    {\"target\": %S, \"programs\": %d, \"hashes_dense\": %d, \
-                 \"hashes_prior\": %d, \"boundaries_identical\": true}"
-                n probed dense prior)
-            prior_rows))
-      prior_wins !wins (List.length names)
+                "      {\"policy\": %S, \"ttc_ns\": %d, \"final_edges\": %d, \
+                 \"execs\": %d%s}"
+                pol t c.Report.final_edges c.Report.execs placement)
+            r.cells))
   in
-  let path = "BENCH_snapshot.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (json ^ "\n"));
-  Printf.printf "  [json] %s\n" path;
-  match Sys.getenv_opt "NYX_BENCH_SNAP_GATE" with
-  | None -> ()
-  | Some _ ->
-    if !wins * 2 < List.length names then
-      failwith
-        (Printf.sprintf
-           "snapshot_matrix: dynamic beat the best static policy on only %d/%d \
-            targets (gate requires at least half)"
-           !wins (List.length names));
-    if prior_wins * 2 < List.length names then
-      failwith
-        (Printf.sprintf
-           "snapshot_matrix: static prior hashed strictly fewer indices on only \
-            %d/%d targets (gate requires at least half)"
-           prior_wins (List.length names))
+  let prior_json (n, probed, dense, prior) =
+    Printf.sprintf
+      "    {\"target\": %S, \"programs\": %d, \"hashes_dense\": %d, \
+       \"hashes_prior\": %d, \"boundaries_identical\": true}"
+      n probed dense prior
+  in
+  gate_matrix ~name:"snapshot_matrix" ~claim:"dynamic beats the best static policy"
+    ~arms:
+      (List.map
+         (fun policy ->
+           (Policy.name policy, Campaign.run (matrix_config ~policy ~engine:Engines.Havoc)))
+         snap_policies)
+    ~targets:long_session_targets
+    ~score:(fun ~frontier r ->
+      first_reaching r.Report.timeline ~frontier ~default:r.Report.virtual_ns)
+    ~show:(fun ns -> Printf.sprintf "%.3fs" (float_of_int ns /. 1e9))
+    ~beats:(fun cells ->
+      let best_static =
+        List.fold_left
+          (fun acc (a, (_, t)) -> if a = dynamic then acc else min acc t)
+          max_int cells
+      in
+      arm_score cells dynamic < best_static)
+    ~gate:(1, 2) ~path:"BENCH_snapshot.json"
+    ~json:(fun ~wins rows ->
+      json_obj
+        [
+          ("virtual_budget_s", string_of_int matrix_budget_s);
+          ("max_execs", string_of_int matrix_max_execs);
+          ("seed", "7");
+          ("targets", json_lines (List.map row_json rows));
+          ("probe_prior", json_lines (List.map prior_json prior_rows));
+          ("prior_strictly_fewer", string_of_int prior_wins);
+          ("dynamic_wins", string_of_int wins);
+          ("matrix_size", string_of_int (List.length rows));
+        ]);
+  if prior_wins * 2 < List.length prior_rows then
+    failwith
+      (Printf.sprintf
+         "snapshot_matrix: static prior hashed strictly fewer indices on only \
+          %d/%d targets (gate requires at least half)"
+         prior_wins (List.length prior_rows))
 
 (* ------------------------------------------------------------------ *)
-(* Mutation-engine matrix: havoc vs typed on the protocol targets,
-   scored by executions-to-coverage (the exec-keyed timeline records
-   every frontier advance, so the race is exact and budget-independent).
-   The frontier per target is the weaker engine's final coverage — both
-   engines reach it, so "first exec count reaching the frontier" is a
-   fair race. When NYX_BENCH_MUT_GATE is set (the CI mutation-gate), the
-   typed engine must reach the frontier in <= the havoc engine's execs
-   on at least half the matrix. Emits BENCH_mutation.json.              *)
-
-let mut_engines = [ Engines.Havoc; Engines.Typed ]
+(* Mutation-engine gate (make bench-mutation / CI): havoc vs typed,
+   scored by executions-to-frontier on the exec-keyed timeline (it
+   records every frontier advance, so the race is exact and
+   budget-independent); the typed engine must reach the frontier in <=
+   the havoc engine's execs on at least half the targets. Emits
+   BENCH_mutation.json.                                                 *)
 
 let mutation_matrix () =
-  Printf.printf
-    "\n== Mutation engine matrix: executions-to-coverage, havoc vs typed ==\n\n";
-  let budget_s = env_int "NYX_BENCH_MUT_BUDGET_S" 8 in
-  let mut_execs = env_int "NYX_BENCH_MUT_MAX_EXECS" 25_000 in
-  let budget_ns = budget_s * 1_000_000_000 in
-  let names =
-    match Sys.getenv_opt "NYX_BENCH_MUT_TARGETS" with
-    | Some s when String.trim s <> "" ->
-      List.filter (fun n -> n <> "") (String.split_on_char ',' (String.trim s))
-    | _ -> [ "exim"; "lightftp"; "live555"; "openssl"; "proftpd"; "pure-ftpd" ]
-  in
-  let cfg engine =
-    {
-      Campaign.policy = Policy.Aggressive;
-      budget_ns;
-      max_execs = mut_execs;
-      seed = 7;
-      asan = false;
-      stop_on_solve = false;
-      trim = false;
-      sample_interval_ns = 100_000_000;
-      engine;
-      mutator_weights = [];
-    }
-  in
-  Printf.printf "  %ds virtual budget, %d exec cap, seed 7, targets: %s\n\n"
-    budget_s mut_execs (String.concat " " names);
-  (* One campaign per (target, engine); each is a pure function of the
-     seed, so the fan-out is deterministic whatever NYX_DOMAINS says. *)
-  let tasks =
-    List.concat_map (fun n -> List.map (fun e -> (n, e)) mut_engines) names
-  in
-  let results =
-    Nyx_parallel.Pool.map_list
-      (fun (n, e) ->
-        let entry = Option.get (Nyx_targets.Registry.find n) in
-        (n, e, Campaign.run (cfg e) entry))
-      tasks
-  in
-  let by_target n = List.filter (fun (tn, _, _) -> tn = n) results in
-  Printf.printf "%-12s %10s" "target" "frontier";
-  List.iter (fun e -> Printf.printf " %14s" (Engines.name e)) mut_engines;
-  Printf.printf "   %s\n" "winner";
-  let wins = ref 0 in
-  let rows =
-    List.map
-      (fun n ->
-        let cells = by_target n in
-        let frontier =
-          List.fold_left
-            (fun acc (_, _, r) -> min acc r.Report.final_edges)
-            max_int cells
-        in
-        (* Execs at which the engine first reached the frontier; an
-           engine that never did (impossible by construction, since the
-           frontier is the min) scores its full exec count. *)
-        let tte (r : Report.campaign_result) =
-          Option.value ~default:r.Report.execs
-            (Nyx_sim.Stats.Timeline.first_time_reaching r.Report.exec_timeline
-               (float_of_int frontier))
-        in
-        let cell e =
-          let _, _, r = List.find (fun (_, e', _) -> e' = e) cells in
-          (r, tte r)
-        in
-        let per_engine = List.map (fun e -> (e, cell e)) mut_engines in
-        let typed_execs = snd (List.assoc Engines.Typed per_engine) in
-        let havoc_execs = snd (List.assoc Engines.Havoc per_engine) in
-        let typed_wins = typed_execs <= havoc_execs in
-        if typed_wins then incr wins;
-        Printf.printf "%-12s %10d" n frontier;
-        List.iter
-          (fun e ->
-            let _, t = List.assoc e per_engine in
-            Printf.printf " %13d%s" t
-              (if e = Engines.Typed && typed_wins then "*" else " "))
-          mut_engines;
-        Printf.printf "   %s\n%!" (if typed_wins then "typed" else "havoc");
-        (n, frontier, per_engine, typed_wins))
-      names
-  in
-  Printf.printf
-    "\n  typed reaches the frontier in <= havoc's execs on %d/%d targets\n"
-    !wins (List.length names);
-  let json =
+  matrix_preamble "Mutation engine matrix: executions-to-coverage, havoc vs typed";
+  let havoc = Engines.name Engines.Havoc and typed = Engines.name Engines.Typed in
+  let row_json r =
     Printf.sprintf
-      "{\n\
-      \  \"virtual_budget_s\": %d,\n\
-      \  \"max_execs\": %d,\n\
-      \  \"seed\": 7,\n\
-      \  \"targets\": [\n%s\n  ],\n\
-      \  \"typed_wins\": %d,\n\
-      \  \"matrix_size\": %d\n\
-       }"
-      budget_s mut_execs
+      "    {\"target\": %S, \"frontier_edges\": %d, \"typed_wins\": %b, \
+       \"engines\": [\n%s\n    ]}"
+      r.target r.frontier r.win
       (String.concat ",\n"
          (List.map
-            (fun (n, frontier, per_engine, typed_wins) ->
+            (fun (e, ((c : Report.campaign_result), t)) ->
+              let mutators =
+                match c.Report.mutation with
+                | None -> ""
+                | Some m ->
+                  Printf.sprintf ", \"mutators\": [%s]"
+                    (String.concat ", "
+                       (List.map
+                          (fun (s : Report.mutator_stat) ->
+                            Printf.sprintf
+                              "{\"name\": %S, \"attempts\": %d, \"rejected\": %d, \
+                               \"accepts\": %d, \"credit\": %.6f}"
+                              s.Report.mut_name s.Report.mut_attempts
+                              s.Report.mut_rejected s.Report.mut_accepts
+                              s.Report.mut_credit)
+                          m.Report.mutators))
+              in
               Printf.sprintf
-                "    {\"target\": %S, \"frontier_edges\": %d, \"typed_wins\": %b, \
-                 \"engines\": [\n%s\n    ]}"
-                n frontier typed_wins
-                (String.concat ",\n"
-                   (List.map
-                      (fun (e, ((r : Report.campaign_result), t)) ->
-                        let mutators =
-                          match r.Report.mutation with
-                          | None -> ""
-                          | Some m ->
-                            Printf.sprintf ", \"mutators\": [%s]"
-                              (String.concat ", "
-                                 (List.map
-                                    (fun (s : Report.mutator_stat) ->
-                                      Printf.sprintf
-                                        "{\"name\": %S, \"attempts\": %d, \
-                                         \"rejected\": %d, \"accepts\": %d, \
-                                         \"credit\": %.6f}"
-                                        s.Report.mut_name s.Report.mut_attempts
-                                        s.Report.mut_rejected s.Report.mut_accepts
-                                        s.Report.mut_credit)
-                                    m.Report.mutators))
-                        in
-                        Printf.sprintf
-                          "      {\"engine\": %S, \"execs_to_frontier\": %d, \
-                           \"final_edges\": %d, \"execs\": %d%s}"
-                          (Engines.name e) t r.Report.final_edges r.Report.execs
-                          mutators)
-                      per_engine)))
-            rows))
-      !wins (List.length names)
+                "      {\"engine\": %S, \"execs_to_frontier\": %d, \
+                 \"final_edges\": %d, \"execs\": %d%s}"
+                e t c.Report.final_edges c.Report.execs mutators)
+            r.cells))
   in
-  let path = "BENCH_mutation.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (json ^ "\n"));
-  Printf.printf "  [json] %s\n" path;
-  match Sys.getenv_opt "NYX_BENCH_MUT_GATE" with
-  | None -> ()
-  | Some _ ->
-    if !wins * 2 < List.length names then
-      failwith
-        (Printf.sprintf
-           "mutation_matrix: typed reached the frontier within havoc's execs on \
-            only %d/%d targets (gate requires at least half)"
-           !wins (List.length names))
+  gate_matrix ~name:"mutation_matrix"
+    ~claim:"typed reaches the frontier in <= havoc's execs"
+    ~arms:
+      (List.map
+         (fun engine ->
+           ( Engines.name engine,
+             Campaign.run (matrix_config ~policy:Policy.Aggressive ~engine) ))
+         [ Engines.Havoc; Engines.Typed ])
+    ~targets:long_session_targets
+    ~score:(fun ~frontier r ->
+      first_reaching r.Report.exec_timeline ~frontier ~default:r.Report.execs)
+    ~show:string_of_int ~beats:(fun cells -> arm_score cells typed <= arm_score cells havoc)
+    ~gate:(1, 2) ~path:"BENCH_mutation.json"
+    ~json:(fun ~wins rows ->
+      json_obj
+        [
+          ("virtual_budget_s", string_of_int matrix_budget_s);
+          ("max_execs", string_of_int matrix_max_execs);
+          ("seed", "7");
+          ("targets", json_lines (List.map row_json rows));
+          ("typed_wins", string_of_int wins);
+          ("matrix_size", string_of_int (List.length rows));
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Peer-vs-bytecode gate (make bench-peer / CI): on every peer-scripted
@@ -2021,103 +1935,70 @@ let mutation_matrix () =
    is a win when peer mode reaches strictly more unique edges, or finds
    a crash kind the bytecode campaign never saw (the Fuzztruction-style
    claim: protocol-correct traffic carrying semantic encoder lies
-   reaches parser states raw byte mutation cannot). Also asserts peer
-   campaigns are deterministic and that every fired encoder fault was
-   recovered. Emits BENCH_peer.json; with NYX_BENCH_PEER_GATE set,
-   fails unless peer mode wins on at least 2 of the 3 targets.          *)
+   reaches parser states raw byte mutation cannot). The peer arm also
+   asserts its campaign is deterministic and that every fired encoder
+   fault was recovered. Peer mode must win on at least 2 of the 3
+   targets. Emits BENCH_peer.json.                                      *)
+
+(* length-lie at full rate: the semantic lie that reaches the planted
+   trusted-length bugs; the other sites at 0.5 keep the mix broad. *)
+let peer_fault_spec =
+  "flip:0.5,truncate:0.5,duplicate:0.5,length-lie:1.0,desync-frame:0.5,drop-field:0.5"
 
 let peer_matrix () =
   Printf.printf "\n== Peer-vs-bytecode matrix (peer_matrix) ==\n\n";
-  let budget_ns = env_int "NYX_BENCH_PEER_BUDGET_S" 6 * 1_000_000_000 in
-  let max_execs = env_int "NYX_BENCH_PEER_MAX_EXECS" 20_000 in
-  let names =
-    match Sys.getenv_opt "NYX_BENCH_PEER_TARGETS" with
-    | Some s -> String.split_on_char ',' s
-    | None -> [ "lightftp"; "tinydtls"; "mysql-client" ]
-  in
-  (* length-lie at full rate: the semantic lie that reaches the planted
-     trusted-length bugs; the other sites at 0.5 keep the mix broad. *)
-  let fault_spec =
-    "flip:0.5,truncate:0.5,duplicate:0.5,length-lie:1.0,desync-frame:0.5,drop-field:0.5"
-  in
   let peer_faults =
-    match Nyx_peer.Peer_fault.parse_spec fault_spec with
+    match Nyx_peer.Peer_fault.parse_spec peer_fault_spec with
     | Ok sp -> sp
     | Error m -> failwith ("peer_matrix: " ^ m)
   in
-  let wins = ref 0 in
-  let rows =
-    List.map
-      (fun name ->
-        let entry =
-          match Nyx_targets.Registry.find name with
-          | Some e -> e
-          | None -> failwith ("peer_matrix: unknown target " ^ name)
-        in
-        let script =
-          match Nyx_peer.Peer_script.find name with
-          | Some s -> s
-          | None -> failwith ("peer_matrix: no peer script for " ^ name)
-        in
-        let cfg =
-          {
-            Campaign.default_config with
-            Campaign.policy = Policy.Aggressive;
-            budget_ns;
-            max_execs;
-            seed = 11;
-            asan = true;
-          }
-        in
-        let peer = Campaign.run ~peer:script ~peer_faults cfg entry in
-        let peer2 = Campaign.run ~peer:script ~peer_faults cfg entry in
-        if not (Report.same_deterministic peer peer2) then
-          failwith
-            (Printf.sprintf "peer_matrix: same-seed %s peer campaigns diverged"
-               name);
-        (match peer.Report.resilience with
-        | Some res when res.Report.faults_aborted <> 0 ->
-          failwith
-            (Printf.sprintf
-               "peer_matrix: %s aborted %d encoder faults (supervised \
-                recovery must absorb all of them)"
-               name res.Report.faults_aborted)
-        | Some _ -> ()
-        | None ->
-          failwith (Printf.sprintf "peer_matrix: %s armed no fault plan" name));
-        let bytecode = Campaign.run cfg entry in
-        let kinds r = List.map (fun c -> c.Report.kind) r.Report.crashes in
-        let peer_only =
-          List.filter
-            (fun k -> not (List.mem k (kinds bytecode)))
-            (kinds peer)
-        in
-        let win =
-          peer.Report.final_edges > bytecode.Report.final_edges
-          || peer_only <> []
-        in
-        if win then incr wins;
-        Printf.printf
-          "  %-14s peer %3d edges, %d crash kinds | bytecode %3d edges, %d \
-           crash kinds | %s%s\n\
-           %!"
-          name peer.Report.final_edges
-          (List.length peer.Report.crashes)
-          bytecode.Report.final_edges
-          (List.length bytecode.Report.crashes)
-          (if win then "peer wins" else "no win")
-          (match peer_only with
-          | [] -> ""
-          | ks -> Printf.sprintf " (peer-only: %s)" (String.concat "," ks));
-        (name, peer, bytecode, peer_only, win))
-      names
+  let cfg =
+    {
+      Campaign.default_config with
+      Campaign.policy = Policy.Aggressive;
+      budget_ns = 6_000_000_000;
+      max_execs = 20_000;
+      seed = 11;
+      asan = true;
+    }
   in
-  let row_json (name, (peer : Report.campaign_result), bytecode, peer_only, win)
-      =
+  let peer entry =
+    let name = target_name entry in
+    let script =
+      match Nyx_peer.Peer_script.find name with
+      | Some s -> s
+      | None -> failwith ("peer_matrix: no peer script for " ^ name)
+    in
+    let run () = Campaign.run ~peer:script ~peer_faults cfg entry in
+    let r = run () in
+    if not (Report.same_deterministic r (run ())) then
+      failwith
+        (Printf.sprintf "peer_matrix: same-seed %s peer campaigns diverged" name);
+    (match r.Report.resilience with
+    | Some res when res.Report.faults_aborted <> 0 ->
+      failwith
+        (Printf.sprintf
+           "peer_matrix: %s aborted %d encoder faults (supervised recovery \
+            must absorb all of them)"
+           name res.Report.faults_aborted)
+    | Some _ -> ()
+    | None -> failwith (Printf.sprintf "peer_matrix: %s armed no fault plan" name));
+    r
+  in
+  let kinds (r : Report.campaign_result) =
+    List.map (fun (c : Report.crash_report) -> c.Report.kind) r.Report.crashes
+  in
+  let peer_only cells =
+    let bytecode = kinds (fst (List.assoc "bytecode" cells)) in
+    List.filter (fun k -> not (List.mem k bytecode)) (kinds (fst (List.assoc "peer" cells)))
+  in
+  let strings l = String.concat ", " (List.map (Printf.sprintf "%S") l) in
+  let row_json r =
+    let p = fst (List.assoc "peer" r.cells) and b = fst (List.assoc "bytecode" r.cells) in
     let ps =
-      match peer.Report.peer with
-      | Some p -> p
-      | None -> failwith ("peer_matrix: " ^ name ^ " returned no peer block")
+      match p.Report.peer with
+      | Some ps -> ps
+      | None -> failwith ("peer_matrix: " ^ r.target ^ " returned no peer block")
     in
     Printf.sprintf
       "    {\"target\": %S, \"peer_edges\": %d, \"bytecode_edges\": %d, \
@@ -2125,50 +2006,29 @@ let peer_matrix () =
        \"peer_only_crash_kinds\": [%s], \"peer_actions\": %d, \
        \"faults_fired\": %d, \"desyncs\": %d, \"restarts\": %d, \
        \"quarantines\": %d, \"win\": %b}"
-      name peer.Report.final_edges bytecode.Report.final_edges
-      (String.concat ", "
-         (List.map
-            (fun c -> Printf.sprintf "%S" c.Report.kind)
-            peer.Report.crashes))
-      (String.concat ", "
-         (List.map
-            (fun (c : Report.crash_report) -> Printf.sprintf "%S" c.Report.kind)
-            bytecode.Report.crashes))
-      (String.concat ", " (List.map (fun k -> Printf.sprintf "%S" k) peer_only))
-      ps.Report.peer_actions
+      r.target p.Report.final_edges b.Report.final_edges (strings (kinds p))
+      (strings (kinds b)) (strings (peer_only r.cells)) ps.Report.peer_actions
       (List.fold_left (fun a (_, n) -> a + n) 0 ps.Report.peer_fired)
-      ps.Report.peer_desyncs ps.Report.peer_restarts ps.Report.peer_quarantines
-      win
+      ps.Report.peer_desyncs ps.Report.peer_restarts ps.Report.peer_quarantines r.win
   in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"fault_spec\": %S,\n\
-      \  \"budget_ns\": %d,\n\
-      \  \"seed\": 11,\n\
-      \  \"wins\": %d,\n\
-      \  \"targets\": [\n\
-       %s\n\
-      \  ]\n\
-       }"
-      fault_spec budget_ns !wins
-      (String.concat ",\n" (List.map row_json rows))
-  in
-  let path = "BENCH_peer.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (json ^ "\n"));
-  Printf.printf "  [json] %s\n" path;
-  match Sys.getenv_opt "NYX_BENCH_PEER_GATE" with
-  | None -> ()
-  | Some _ ->
-    if !wins * 3 < 2 * List.length rows then
-      failwith
-        (Printf.sprintf
-           "peer_matrix: peer mode won on only %d/%d targets (gate requires \
-            at least 2 of 3)"
-           !wins (List.length rows))
+  gate_matrix ~name:"peer_matrix"
+    ~claim:"peer mode beats bytecode (more edges or a peer-only crash kind)"
+    ~arms:[ ("peer", peer); ("bytecode", Campaign.run cfg) ]
+    ~targets:[ "lightftp"; "tinydtls"; "mysql-client" ]
+    ~score:(fun ~frontier:_ r -> r.Report.final_edges)
+    ~show:string_of_int
+    ~beats:(fun cells ->
+      arm_score cells "peer" > arm_score cells "bytecode" || peer_only cells <> [])
+    ~gate:(2, 3) ~path:"BENCH_peer.json"
+    ~json:(fun ~wins rows ->
+      json_obj
+        [
+          ("fault_spec", Printf.sprintf "%S" peer_fault_spec);
+          ("budget_ns", string_of_int cfg.Campaign.budget_ns);
+          ("seed", string_of_int cfg.Campaign.seed);
+          ("wins", string_of_int wins);
+          ("targets", json_lines (List.map row_json rows));
+        ])
 
 (* ------------------------------------------------------------------ *)
 
