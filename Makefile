@@ -1,6 +1,6 @@
 # Convenience entry points; see README.md for the full bench matrix.
 
-.PHONY: all check build test lint faultcheck statecheck profile ci-local bench-smoke bench-hotpath bench-snapshot bench-mutation bench-peer bench loc clean
+.PHONY: all check build test lint faultcheck statecheck profile trace-smoke ci-local bench-smoke bench-hotpath bench-snapshot bench-mutation bench-peer bench loc clean
 
 all: check
 
@@ -26,7 +26,8 @@ lint:
 # verifier's facts at runtime; --force because dune does not track env
 # vars), both smoke benches asserted crash-free under NYX_DOMAINS=4
 # (hotpath additionally fails if the before/after gears diverge or the
-# speedup drops below 2x), and the static-vs-dynamic conformance gate.
+# speedup drops below 2x), the static-vs-dynamic conformance gate and
+# the trace smoke.
 check:
 	dune build @all && dune runtest
 	$(MAKE) lint
@@ -38,6 +39,7 @@ check:
 	$(MAKE) bench-peer
 	$(MAKE) faultcheck
 	$(MAKE) statecheck
+	$(MAKE) trace-smoke
 
 # Fault-injection smoke campaign (lib/resilience): runs a full campaign
 # with every fault site armed at 2%, asserts zero aborted faults (every
@@ -65,6 +67,20 @@ profile:
 	dune build @all
 	dune exec bin/nyx_net_fuzz.exe -- profile echo -b 10 -s 7 -o PROFILE_echo.json
 	dune exec bin/nyx_net_fuzz.exe -- profile lightftp -b 10 -s 7 -o PROFILE_lightftp.json
+
+# Trace smoke (lib/obs): a traced lightftp campaign; fails unless jq
+# accepts every line of the JSONL trace, then prints events and bytes
+# per exec.
+trace-smoke:
+	dune build bin/nyx_net_fuzz.exe
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	NYX_TRACE="$$dir/trace.jsonl" ./_build/default/bin/nyx_net_fuzz.exe fuzz lightftp -b 5 -s 7 >/dev/null && \
+	jq -c . "$$dir/trace.jsonl" >/dev/null && \
+	execs=$$(jq -r 'select(.ev == "campaign") | .execs' "$$dir/trace.jsonl") && \
+	events=$$(wc -l < "$$dir/trace.jsonl") && bytes=$$(wc -c < "$$dir/trace.jsonl") && \
+	test "$$execs" -gt 0 && \
+	awk -v e="$$events" -v b="$$bytes" -v x="$$execs" 'BEGIN { \
+	  printf "trace-smoke: %d execs, %d events (%.2f/exec), %d bytes (%.1f/exec)\n", x, e, e / x, b, b / x }'
 
 # Everything CI runs, locally, in CI's order.
 ci-local:

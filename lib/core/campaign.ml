@@ -77,7 +77,10 @@ type state = {
          op handler is installed (its effects are outside the static
          model, so inertness claims would be unsound) *)
   prior_udp : bool;  (* target transport, for the inertness classification *)
-  prof : Nyx_obs.Profile.t option;
+  obs : Nyx_obs.Obs.t;  (* the executor's: one span nesting per campaign *)
+  mutable span_vt0 : int;
+      (* where the campaign span began; [finish] writes it, on whichever
+         domain finalizes *)
   ck : checkpoint_cfg option;
   mutable ck_last : int;
   mutable ck_ordinal : int;
@@ -92,18 +95,6 @@ type state = {
 }
 
 let now st = Nyx_sim.Clock.now_ns (Executor.clock st.exec)
-
-(* Campaign-level phase attribution (cov-merge, trim) goes to the same
-   accumulator the executor writes. One branch per site when off. *)
-let prof_span st phase f =
-  match Executor.profile st.exec with
-  | None -> f ()
-  | Some p -> Nyx_obs.Profile.span p phase (Executor.clock st.exec) f
-
-let prof_override st phase f =
-  match Executor.profile st.exec with
-  | None -> f ()
-  | Some p -> Nyx_obs.Profile.with_override p phase f
 
 let over_budget st =
   st.stop
@@ -185,7 +176,7 @@ let trim_program st program =
 let triage st (result : Report.exec_result) stored =
   st.execs <- st.execs + 1;
   let novel =
-    prof_span st Nyx_obs.Profile.Cov_merge (fun () ->
+    Nyx_obs.Obs.span st.obs Nyx_obs.Profile.Cov_merge (fun () ->
         Coverage.Cumulative.merge st.cumulative (Executor.coverage st.exec))
   in
   if novel then begin
@@ -201,7 +192,7 @@ let triage st (result : Report.exec_result) stored =
       if st.cfg.trim then
         (* Everything trim runs internally (resets, probe executions) is
            charged to the [Trim] phase. *)
-        prof_override st Nyx_obs.Profile.Trim (fun () -> trim_program st program)
+        Nyx_obs.Obs.charge st.obs Nyx_obs.Profile.Trim (fun () -> trim_program st program)
       else program
     in
     ignore
@@ -301,7 +292,7 @@ let capture st : Checkpoint.t =
         (fun p ->
           (Nyx_resilience.Plan.spec_string p, Nyx_resilience.Plan.state p))
         st.plan;
-    c_profile = Option.map Nyx_obs.Profile.state st.prof;
+    c_profile = Option.map Nyx_obs.Profile.state (Nyx_obs.Obs.profile st.obs);
     c_peer =
       Option.map Nyx_peer.Peer_driver.state (Executor.peer_driver st.exec);
   }
@@ -317,7 +308,7 @@ let restore st (ck : Checkpoint.t) =
   Nyx_spec.Mutation_engine.restore_state st.engine ck.Checkpoint.c_mut_state;
   let both f a b = match (a, b) with Some a, Some b -> f a b | _ -> () in
   both Nyx_resilience.Plan.restore_state st.plan (Option.map snd ck.Checkpoint.c_faults);
-  both Nyx_obs.Profile.restore_state st.prof ck.Checkpoint.c_profile;
+  both Nyx_obs.Profile.restore_state (Nyx_obs.Obs.profile st.obs) ck.Checkpoint.c_profile;
   both Nyx_peer.Peer_driver.restore_state (Executor.peer_driver st.exec) ck.Checkpoint.c_peer;
   (* Oldest first, so ids re-assign to their original values (Corpus.add
      numbers sequentially). *)
@@ -404,8 +395,8 @@ let dynamic_prepare st (entry_sched : Corpus.entry) ~packets =
    with
   | `Ready -> ()
   | `Probe ->
-    prof_span st Nyx_obs.Profile.Snapshot_place (fun () ->
-        prof_override st Nyx_obs.Profile.Snapshot_place (fun () ->
+    Nyx_obs.Obs.span st.obs Nyx_obs.Profile.Snapshot_place (fun () ->
+        Nyx_obs.Obs.charge st.obs Nyx_obs.Profile.Snapshot_place (fun () ->
             (* The static boundary prior is pure analysis — no clock
                charge; the probe below hashes only at feasible indices. *)
             let feasible =
@@ -426,18 +417,18 @@ let dynamic_prepare st (entry_sched : Corpus.entry) ~packets =
             (* The probe replayed the entry once end-to-end. *)
             st.execs <- st.execs + 1;
             if Nyx_obs.Trace.on () then
-              Nyx_obs.Trace.instant ~vns:(now st) "snap-probe"
+              Nyx_obs.Obs.event st.obs "snap-probe"
                 [
                   ("input", Nyx_obs.Trace.Int entry_sched.Corpus.id);
                   ("boundaries", Nyx_obs.Trace.Int (List.length boundaries));
                 ])));
-  prof_span st Nyx_obs.Profile.Snapshot_place (fun () ->
+  Nyx_obs.Obs.span st.obs Nyx_obs.Profile.Snapshot_place (fun () ->
       Nyx_sim.Clock.advance (Executor.clock st.exec) Nyx_sim.Cost.place_decide)
 
 let trace_move st =
   match Policy.last_move st.policy with
   | Some (input, from_, to_) when Nyx_obs.Trace.on () ->
-    Nyx_obs.Trace.instant ~vns:(now st) "snap-move"
+    Nyx_obs.Obs.event st.obs "snap-move"
       [
         ("input", Nyx_obs.Trace.Int input);
         ("from", Nyx_obs.Trace.Int from_);
@@ -450,6 +441,8 @@ let main_loop st =
   while not (paused st) do
     maybe_checkpoint st;
     let entry_sched = Corpus.schedule st.corpus st.rng in
+    (* Built once per round; read only when tracing. *)
+    let input_attrs = Some (fun _ -> [ ("input", Nyx_obs.Trace.Int entry_sched.Corpus.id) ]) in
     let packets = entry_sched.Corpus.packets in
     (* Cached newest-first snapshot; Corpus.programs only reallocates
        after growth, so steady-state rounds stop paying O(corpus). *)
@@ -465,20 +458,15 @@ let main_loop st =
       while !i < Policy.reuse_count && not (paused st) do
         incr i;
         let mutated =
-          prof_span st Nyx_obs.Profile.Mutation (fun () ->
-              Nyx_obs.Trace.with_span
-                ~vns_of:(fun () -> now st)
-                "mutation"
-                [ ("input", Nyx_obs.Trace.Int entry_sched.Corpus.id) ]
-                (fun () ->
-                  Nyx_spec.Mutation_engine.mutate st.engine st.mut_rng
-                    {
-                      Nyx_spec.Mutation_engine.mx_frozen = 0;
-                      mx_max_ops = st.max_ops;
-                      mx_dict = st.dict;
-                      mx_corpus = corpus_progs;
-                    }
-                    entry_sched.Corpus.program))
+          Nyx_obs.Obs.span st.obs Nyx_obs.Profile.Mutation ?attrs:input_attrs (fun () ->
+              Nyx_spec.Mutation_engine.mutate st.engine st.mut_rng
+                {
+                  Nyx_spec.Mutation_engine.mx_frozen = 0;
+                  mx_max_ops = st.max_ops;
+                  mx_dict = st.dict;
+                  mx_corpus = corpus_progs;
+                }
+                entry_sched.Corpus.program)
         in
         let r = Executor.run_full st.exec mutated in
         if dyn then begin
@@ -519,20 +507,15 @@ let main_loop st =
         while !i < Policy.reuse_count && not (paused st) do
           incr i;
           let mutated =
-            prof_span st Nyx_obs.Profile.Mutation (fun () ->
-                Nyx_obs.Trace.with_span
-                  ~vns_of:(fun () -> now st)
-                  "mutation"
-                  [ ("input", Nyx_obs.Trace.Int entry_sched.Corpus.id) ]
-                  (fun () ->
-                    Nyx_spec.Mutation_engine.mutate st.engine st.mut_rng
-                      {
-                        Nyx_spec.Mutation_engine.mx_frozen = frozen;
-                        mx_max_ops = st.max_ops + 1 (* snapshot op *);
-                        mx_dict = st.dict;
-                        mx_corpus = corpus_progs;
-                      }
-                      with_snap))
+            Nyx_obs.Obs.span st.obs Nyx_obs.Profile.Mutation ?attrs:input_attrs (fun () ->
+                Nyx_spec.Mutation_engine.mutate st.engine st.mut_rng
+                  {
+                    Nyx_spec.Mutation_engine.mx_frozen = frozen;
+                    mx_max_ops = st.max_ops + 1 (* snapshot op *);
+                    mx_dict = st.dict;
+                    mx_corpus = corpus_progs;
+                  }
+                  with_snap)
           in
           let r = Executor.run_suffix st.exec session mutated in
           if dyn then begin
@@ -559,14 +542,20 @@ let finish st wall0 =
   let virtual_ns = now st in
   let final_edges = Coverage.Cumulative.edge_count st.cumulative in
   let wall_s = Nyx_parallel.Wall.now_s () -. wall0 in
-  if Nyx_obs.Trace.on () then
-    Nyx_obs.Trace.span_end ~vns:virtual_ns "campaign"
+  if Nyx_obs.Trace.on () then begin
+    Nyx_obs.Trace.complete "campaign" ~vns:st.span_vt0 ~dur:(virtual_ns - st.span_vt0)
+      ~depth:0 ~wall:wall0
       [
+        ("target", Nyx_obs.Trace.Str (Executor.target_name st.exec));
+        ("fuzzer", Nyx_obs.Trace.Str (Policy.name st.cfg.policy));
+        ("seed", Nyx_obs.Trace.Int st.cfg.seed);
         ("execs", Nyx_obs.Trace.Int st.execs);
         ("edges", Nyx_obs.Trace.Int final_edges);
         ("corpus", Nyx_obs.Trace.Int (Corpus.size st.corpus));
         ("crash_kinds", Nyx_obs.Trace.Int (List.length st.crashes));
       ];
+    Nyx_obs.Trace.flush ()
+  end;
   {
     Report.fuzzer = Policy.name st.cfg.policy;
     target = Executor.target_name st.exec;
@@ -589,7 +578,7 @@ let finish st wall0 =
         (fun p ->
           Nyx_obs.Profile.snapshot p ~total_virtual_ns:virtual_ns
             ~total_wall_s:wall_s)
-        st.prof;
+        (Nyx_obs.Obs.profile st.obs);
     resilience =
       Option.map
         (fun plan ->
@@ -636,15 +625,6 @@ let finish st wall0 =
         (Executor.peer_driver st.exec);
   }
 
-let trace_campaign_begin st =
-  if Nyx_obs.Trace.on () then
-    Nyx_obs.Trace.span_begin ~vns:(now st) "campaign"
-      [
-        ("target", Nyx_obs.Trace.Str (Executor.target_name st.exec));
-        ("fuzzer", Nyx_obs.Trace.Str (Policy.name st.cfg.policy));
-        ("seed", Nyx_obs.Trace.Int st.cfg.seed);
-      ]
-
 (* ------------------------------------------------------------------ *)
 (* Stepped instances: the resumable unit a shared-corpus fleet drives.
    [start] boots a campaign and runs the seed programs; [step] advances
@@ -667,9 +647,8 @@ let create ~custom ~peer ~profile ~faults ~checkpoint ~collect_exports cfg entry
   let spec = net_spec () in
   let rng = Nyx_sim.Rng.create cfg.seed in
   let layout_cookie = Nyx_sim.Rng.int rng 1_000_000 in
-  let prof = if profile then Some (Nyx_obs.Profile.create ()) else None in
   let exec =
-    Executor.create ~asan:cfg.asan ~layout_cookie ?custom ?peer ?profile:prof
+    Executor.create ~asan:cfg.asan ~layout_cookie ?custom ?peer ~profile
       ~net_spec:spec entry.Registry.target
   in
   let policy = Policy.create cfg.policy (Nyx_sim.Rng.split rng) in
@@ -711,7 +690,8 @@ let create ~custom ~peer ~profile ~faults ~checkpoint ~collect_exports cfg entry
       static_prior = custom = None && peer = None;
       prior_udp =
         entry.Registry.target.Target.info.Target.proto = Nyx_netemu.Net.Udp;
-      prof;
+      obs = Executor.obs exec;
+      span_vt0 = 0;
       ck = checkpoint;
       ck_last = Nyx_sim.Clock.now_ns (Executor.clock exec);
       ck_ordinal = 0;
@@ -766,7 +746,7 @@ let start ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults
     List.fold_left
       (fun acc p -> max acc (2 * Array.length p.Nyx_spec.Program.ops))
       24 seed_programs;
-  trace_campaign_begin st;
+  st.span_vt0 <- now st;
   List.iter
     (fun program ->
       if not (over_budget st) then begin
@@ -807,7 +787,7 @@ let drain_exports inst =
 let sync_charge inst ~programs ~cells =
   if programs > 0 || cells > 0 then
     let st = inst.st in
-    prof_span st Nyx_obs.Profile.Corpus_sync (fun () ->
+    Nyx_obs.Obs.span st.obs Nyx_obs.Profile.Corpus_sync (fun () ->
         Nyx_sim.Clock.advance (Executor.clock st.exec)
           ((programs * Nyx_sim.Cost.sync_judge_program)
           + (cells * Nyx_sim.Cost.sync_merge_per_cell)))
@@ -818,7 +798,7 @@ let sync_charge inst ~programs ~cells =
    under the [Corpus_sync] phase. Returns whether it was adopted. *)
 let import inst (e : export) =
   let st = inst.st in
-  prof_span st Nyx_obs.Profile.Corpus_sync (fun () ->
+  Nyx_obs.Obs.span st.obs Nyx_obs.Profile.Corpus_sync (fun () ->
       Nyx_sim.Clock.advance (Executor.clock st.exec)
         (Nyx_sim.Cost.sync_judge_program
         + (e.ex_cells * Nyx_sim.Cost.sync_merge_per_cell));
@@ -878,7 +858,7 @@ let resume_inst ?custom ?(profile = false) ?checkpoint
   in
   let inst = create ~custom ~peer ~profile ~faults ~checkpoint ~collect_exports cfg entry in
   restore inst.st ckpt;
-  trace_campaign_begin inst.st;
+  inst.st.span_vt0 <- now inst.st;
   inst
 
 let resume ?custom ?(profile = false) ?checkpoint (ckpt : Checkpoint.t) entry =

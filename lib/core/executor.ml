@@ -7,22 +7,16 @@ type t = {
   engine : Nyx_snapshot.Engine.t;
   ops : Op_handlers.t;
   target : Target.t;
-  profile : Nyx_obs.Profile.t option;
+  obs : Nyx_obs.Obs.t;
   peer : Nyx_peer.Peer_driver.t option;
   mutable probe_hashed : int; (* state hashes taken by the last probe *)
   mutable probe_skipped : int; (* indices the static prior let it skip *)
 }
 
-(* Phase attribution (observational only: reads the clock, never advances
-   it). One branch per site when profiling is off. *)
-let prof t phase f =
-  match t.profile with
-  | None -> f ()
-  | Some p -> Nyx_obs.Profile.span p phase t.clock f
-
 let create ?(asan = false) ?(layout_cookie = 0) ?(boundaries = true)
     ?(vm_config = Nyx_vm.Vm.fuzz_config) ?custom ?peer ?profile ~net_spec:_ target =
   let clock = Nyx_sim.Clock.create () in
+  let obs = Nyx_obs.Obs.create ?profile clock in
   let vm = Nyx_vm.Vm.create ~config:vm_config clock in
   let net = Net.create ~backend:Net.Emulated ~boundaries clock in
   let aux = Nyx_snapshot.Aux_state.create () in
@@ -37,7 +31,7 @@ let create ?(asan = false) ?(layout_cookie = 0) ?(boundaries = true)
   let peer =
     Option.map
       (fun script ->
-        let d = Nyx_peer.Peer_driver.create ?profile ~clock ~net ~runtime ~target script in
+        let d = Nyx_peer.Peer_driver.create ~obs ~net ~runtime ~target script in
         Nyx_peer.Peer_driver.register_aux d aux;
         d)
       peer
@@ -45,14 +39,8 @@ let create ?(asan = false) ?(layout_cookie = 0) ?(boundaries = true)
   (* The agent detected the first read on the attack surface: take the
      root snapshot here, exactly where Nyx-Net places it automatically. *)
   let engine = Nyx_snapshot.Engine.create vm aux in
-  let take_snapshot =
-    match profile with
-    | None -> fun () -> Nyx_snapshot.Engine.take_incremental engine
-    | Some p ->
-      fun () ->
-        Nyx_obs.Profile.span p Nyx_obs.Profile.Snapshot_create clock (fun () ->
-            Nyx_snapshot.Engine.take_incremental engine)
-  in
+  let take () = Nyx_snapshot.Engine.take_incremental engine in
+  let take_snapshot () = Nyx_obs.Obs.span obs Nyx_obs.Profile.Snapshot_create take in
   (* In peer mode the driver claims every connect/packet/close opcode
      (it wins over any [custom] handler — the two are not composed). *)
   let custom =
@@ -63,10 +51,10 @@ let create ?(asan = false) ?(layout_cookie = 0) ?(boundaries = true)
   let ops =
     Op_handlers.create ~net ~runtime ~target ~on_snapshot:take_snapshot ?custom ()
   in
-  { clock; ctx; engine; ops; target; profile; peer; probe_hashed = 0; probe_skipped = 0 }
+  { clock; ctx; engine; ops; target; obs; peer; probe_hashed = 0; probe_skipped = 0 }
 
 let clock t = t.clock
-let profile t = t.profile
+let obs t = t.obs
 let coverage t = t.ctx.Ctx.cov
 let state_code t = t.ctx.Ctx.state_code
 let snapshot_stats t = Nyx_snapshot.Engine.stats t.engine
@@ -109,9 +97,7 @@ let wedge_status t =
       Nyx_sim.Clock.advance t.clock Nyx_sim.Cost.guest_wedge;
       Nyx_resilience.Plan.record_recovered plan f;
       if Nyx_obs.Trace.on () then
-        Nyx_obs.Trace.instant
-          ~vns:(Nyx_sim.Clock.now_ns t.clock)
-          "fault-wedge"
+        Nyx_obs.Obs.event t.obs "fault-wedge"
           [ ("seq", Nyx_obs.Trace.Int f.Nyx_resilience.Fault.seq) ];
       Some Report.Hang)
 
@@ -134,10 +120,7 @@ let recover_incremental t program =
         ignore
           (Nyx_spec.Interp.run_until_snapshot program (Op_handlers.handlers t.ops)));
     if Nyx_obs.Trace.on () then
-      Nyx_obs.Trace.instant
-        ~vns:(Nyx_sim.Clock.now_ns t.clock)
-        "fault-recovered"
-        [ ("faults", Nyx_obs.Trace.Int n_faults) ]
+      Nyx_obs.Obs.event t.obs "fault-recovered" [ ("faults", Nyx_obs.Trace.Int n_faults) ]
 
 let status_of_run f =
   try
@@ -165,32 +148,40 @@ let status_str = function
   | Report.Hang -> "hang"
   | Report.Crash { kind; _ } -> kind
 
+(* The fields an execution's suffix-exec (or prefix-replay) event
+   carries; [t0] is where the execution began, its reset included. *)
+let exec_attrs t t0 status =
+  [
+    ("status", Nyx_obs.Trace.Str (status_str status));
+    ("exec_ns", Nyx_obs.Trace.Int (Nyx_sim.Clock.now_ns t.clock - t0));
+  ]
+
+let reset_to_root t =
+  Nyx_obs.Obs.span t.obs Nyx_obs.Profile.Reset (fun () ->
+      Nyx_snapshot.Engine.restore_root t.engine;
+      reset_exec_state t)
+
+let drop_incremental t =
+  if Nyx_snapshot.Engine.has_incremental t.engine then
+    Nyx_obs.Obs.span t.obs Nyx_obs.Profile.Reset (fun () ->
+        Nyx_snapshot.Engine.restore_root t.engine)
+
 let run_full t program =
   let t0 = Nyx_sim.Clock.now_ns t.clock in
-  if Nyx_obs.Trace.on () then
-    Nyx_obs.Trace.span_begin ~vns:t0 "exec" [ ("mode", Nyx_obs.Trace.Str "full") ];
-  prof t Nyx_obs.Profile.Reset (fun () ->
-      Nyx_snapshot.Engine.restore_root t.engine;
-      reset_exec_state t);
+  reset_to_root t;
   let status =
     match wedge_status t with
     | Some status -> status
     | None ->
-      prof t Nyx_obs.Profile.Suffix_exec (fun () ->
+      Nyx_obs.Obs.span t.obs Nyx_obs.Profile.Suffix_exec
+        ~attrs:(fun status -> ("mode", Nyx_obs.Trace.Str "full") :: exec_attrs t t0 status)
+        (fun () ->
           status_of_run (fun () ->
               ignore (Nyx_spec.Interp.run program (Op_handlers.handlers t.ops))))
   in
   (* If the program took an incremental snapshot mid-run, drop it. *)
-  if Nyx_snapshot.Engine.has_incremental t.engine then
-    prof t Nyx_obs.Profile.Reset (fun () -> Nyx_snapshot.Engine.restore_root t.engine);
-  let exec_ns = Nyx_sim.Clock.now_ns t.clock - t0 in
-  if Nyx_obs.Trace.on () then
-    Nyx_obs.Trace.span_end ~vns:(t0 + exec_ns) "exec"
-      [
-        ("status", Nyx_obs.Trace.Str (status_str status));
-        ("exec_ns", Nyx_obs.Trace.Int exec_ns);
-      ];
-  { Report.status; exec_ns; state_code = t.ctx.Ctx.state_code }
+  drop_incremental t;
+  { Report.status; exec_ns = Nyx_sim.Clock.now_ns t.clock - t0; state_code = t.ctx.Ctx.state_code }
 
 type session = {
   s_from : int;
@@ -205,18 +196,18 @@ let start_session t program =
   | None -> Error { Report.status = Report.Hang; exec_ns = 0; state_code = 0 }
   | Some snap_idx -> (
     let t0 = Nyx_sim.Clock.now_ns t.clock in
-    if Nyx_obs.Trace.on () then
-      Nyx_obs.Trace.span_begin ~vns:t0 "prefix"
-        [ ("snapshot_at", Nyx_obs.Trace.Int snap_idx) ];
-    prof t Nyx_obs.Profile.Reset (fun () ->
-        Nyx_snapshot.Engine.restore_root t.engine;
-        reset_exec_state t);
+    reset_to_root t;
     let result = ref None in
     let status =
       match wedge_status t with
       | Some status -> status
       | None ->
-        prof t Nyx_obs.Profile.Prefix_replay (fun () ->
+        Nyx_obs.Obs.span t.obs Nyx_obs.Profile.Prefix_replay
+          ~attrs:(fun status ->
+            ("snapshot_at", Nyx_obs.Trace.Int snap_idx)
+            :: ("ok", Nyx_obs.Trace.Bool (status = Report.Pass && !result <> None))
+            :: exec_attrs t t0 status)
+          (fun () ->
             status_of_run (fun () ->
                 match
                   Nyx_spec.Interp.run_until_snapshot program (Op_handlers.handlers t.ops)
@@ -224,19 +215,8 @@ let start_session t program =
                 | Some (from, env) -> result := Some (from, env)
                 | None -> ()))
     in
-    let trace_close ok =
-      if Nyx_obs.Trace.on () then
-        Nyx_obs.Trace.span_end
-          ~vns:(Nyx_sim.Clock.now_ns t.clock)
-          "prefix"
-          [
-            ("ok", Nyx_obs.Trace.Bool ok);
-            ("status", Nyx_obs.Trace.Str (status_str status));
-          ]
-    in
     match (status, !result) with
     | Report.Pass, Some (from, env) ->
-      trace_close true;
       Ok
         {
           s_from = from;
@@ -246,10 +226,7 @@ let start_session t program =
           s_tokens = Op_handlers.save_tokens t.ops;
         }
     | status, _ ->
-      if Nyx_snapshot.Engine.has_incremental t.engine then
-        prof t Nyx_obs.Profile.Reset (fun () ->
-            Nyx_snapshot.Engine.restore_root t.engine);
-      trace_close false;
+      drop_incremental t;
       Error
         {
           Report.status;
@@ -261,9 +238,7 @@ let suffix_start s = s.s_from
 
 let run_suffix t session program =
   let t0 = Nyx_sim.Clock.now_ns t.clock in
-  if Nyx_obs.Trace.on () then
-    Nyx_obs.Trace.span_begin ~vns:t0 "exec" [ ("mode", Nyx_obs.Trace.Str "suffix") ];
-  prof t Nyx_obs.Profile.Reset (fun () ->
+  Nyx_obs.Obs.span t.obs Nyx_obs.Profile.Reset (fun () ->
       (try Nyx_snapshot.Engine.restore t.engine
        with Nyx_resilience.Fault.Injected _ ->
          (* The frozen prefix is preserved verbatim in every mutant, so
@@ -277,23 +252,19 @@ let run_suffix t session program =
     match wedge_status t with
     | Some status -> status
     | None ->
-      prof t Nyx_obs.Profile.Suffix_exec (fun () ->
+      Nyx_obs.Obs.span t.obs Nyx_obs.Profile.Suffix_exec
+        ~attrs:(fun status -> ("mode", Nyx_obs.Trace.Str "suffix") :: exec_attrs t t0 status)
+        (fun () ->
           status_of_run (fun () ->
               ignore
                 (Nyx_spec.Interp.run ~from:session.s_from ~env program
                    (Op_handlers.handlers t.ops))))
   in
-  let exec_ns = Nyx_sim.Clock.now_ns t.clock - t0 in
-  if Nyx_obs.Trace.on () then
-    Nyx_obs.Trace.span_end ~vns:(t0 + exec_ns) "exec"
-      [
-        ("status", Nyx_obs.Trace.Str (status_str status));
-        ("exec_ns", Nyx_obs.Trace.Int exec_ns);
-      ];
-  { Report.status; exec_ns; state_code = t.ctx.Ctx.state_code }
+  { Report.status; exec_ns = Nyx_sim.Clock.now_ns t.clock - t0; state_code = t.ctx.Ctx.state_code }
 
 let end_session t _session =
-  prof t Nyx_obs.Profile.Reset (fun () -> Nyx_snapshot.Engine.restore_root t.engine)
+  Nyx_obs.Obs.span t.obs Nyx_obs.Profile.Reset (fun () ->
+      Nyx_snapshot.Engine.restore_root t.engine)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol-state probing (dynamic snapshot placement).                *)
@@ -335,9 +306,7 @@ let state_boundaries ?feasible t program =
   let sanitize = Nyx_spec.Interp.sanitize_default in
   t.probe_hashed <- 0;
   t.probe_skipped <- 0;
-  prof t Nyx_obs.Profile.Reset (fun () ->
-      Nyx_snapshot.Engine.restore_root t.engine;
-      reset_exec_state t);
+  reset_to_root t;
   let h = Op_handlers.handlers t.ops in
   let env = Nyx_spec.Interp.initial_env p in
   let boundaries = ref [] in
@@ -383,9 +352,7 @@ let state_boundaries ?feasible t program =
              end
            end
          done));
-  prof t Nyx_obs.Profile.Reset (fun () ->
-      Nyx_snapshot.Engine.restore_root t.engine;
-      reset_exec_state t);
+  reset_to_root t;
   List.rev !boundaries
 
 let last_probe_hashed t = t.probe_hashed

@@ -22,15 +22,16 @@ val create :
   ?vm_config:Nyx_vm.Vm.config ->
   ?custom:Op_handlers.custom_handler ->
   ?peer:Nyx_peer.Peer_script.t ->
-  ?profile:Nyx_obs.Profile.t ->
+  ?profile:bool ->
   net_spec:Nyx_spec.Net_spec.t ->
   Nyx_targets.Target.t ->
   t
 (** Boots the target (charging its startup cost), pumps it to its accept
-    loop, and takes the root snapshot. [profile], when given, receives a
+    loop, and takes the root snapshot. The instance's {!Nyx_obs.Obs.t} is
+    built here, over its clock; [profile] (default false) attaches a
     per-phase virtual-time attribution of every execution this instance
-    runs (reset / prefix-replay / suffix-exec / snapshot-create);
-    accumulation is observational only and changes no result.
+    runs (reset / prefix-replay / suffix-exec / snapshot-create).
+    Instrumentation is observational only and changes no result.
 
     [peer] switches the instance into peer mode: a {!Nyx_peer.Peer_driver}
     built from the script claims every connect/packet/close opcode (payloads
@@ -41,9 +42,10 @@ val create :
 
 val clock : t -> Nyx_sim.Clock.t
 
-val profile : t -> Nyx_obs.Profile.t option
-(** The profile passed to {!create}, if any — campaign layers attribute
-    their own phases (cov-merge, trim) to the same accumulator. *)
+val obs : t -> Nyx_obs.Obs.t
+(** The instance's instrumentation — campaign layers open their own
+    phase spans (cov-merge, mutation, trim, ...) on it, so one span
+    nesting and one profile cover the whole campaign. *)
 
 val coverage : t -> Nyx_targets.Coverage.t
 (** The last execution's map. *)

@@ -113,9 +113,14 @@ let derived_configs ~instances ~config =
   List.init instances (fun i ->
       (i, { config with Campaign.seed = config.Campaign.seed + (1000 * i) }))
 
-let traced ~instances ~sync_ns entry f =
-  if Nyx_obs.Trace.on () then
-    Nyx_obs.Trace.span_begin "fleet"
+(* The fleet span is written once, as the fleet ends, so a run that
+   raises leaves nothing open. A fleet has no clock of its own: it spans
+   virtual time 0 to its furthest instance's clock. *)
+let trace_fleet ~instances ~sync_ns entry ~wall0 outcome =
+  if Nyx_obs.Trace.on () then begin
+    Nyx_obs.Trace.complete "fleet" ~vns:0
+      ~dur:(List.fold_left (fun m r -> max m r.Report.virtual_ns) 0 outcome.results)
+      ~depth:0 ~wall:wall0
       [
         ( "target",
           Nyx_obs.Trace.Str
@@ -123,11 +128,6 @@ let traced ~instances ~sync_ns entry f =
               .Nyx_targets.Target.name );
         ("instances", Nyx_obs.Trace.Int instances);
         ("sync_ns", Nyx_obs.Trace.Int (Option.value ~default:0 sync_ns));
-      ];
-  let outcome = f () in
-  if Nyx_obs.Trace.on () then begin
-    Nyx_obs.Trace.span_end "fleet"
-      [
         ("solves", Nyx_obs.Trace.Int outcome.solves);
         ("total_execs", Nyx_obs.Trace.Int outcome.total_execs);
         ( "first_solve_ns",
@@ -135,8 +135,6 @@ let traced ~instances ~sync_ns entry f =
         ("restarts", Nyx_obs.Trace.Int outcome.restarts);
         ("quarantined", Nyx_obs.Trace.Int outcome.quarantined);
       ];
-    (* Worker-domain buffers flushed at their campaign span ends; make the
-       fleet's own events durable too. *)
     Nyx_obs.Trace.flush ()
   end;
   outcome
@@ -449,17 +447,16 @@ let drive st ~fleet_map ~workers ~checkpoint =
     in
     st.work_ns <- st.work_ns + List.fold_left ( + ) 0 segs;
     st.makespan_ns <- st.makespan_ns + parallel_span ~workers segs;
+    let wall0 = Nyx_parallel.Wall.now_s () in
+    let row = barrier st ~until in
+    st.rows <- row :: st.rows;
+    (* The barrier takes no fleet virtual time: the epoch is a zero-length
+       span at [until]. *)
     if Nyx_obs.Trace.on () then
-      Nyx_obs.Trace.span_begin ~vns:until "sync-epoch"
+      Nyx_obs.Trace.complete "sync-epoch" ~vns:until ~dur:0 ~depth:0 ~wall:wall0
         [
           ("epoch", Nyx_obs.Trace.Int st.epoch);
           ("stepped", Nyx_obs.Trace.Int (Array.length stepping));
-        ];
-    let row = barrier st ~until in
-    st.rows <- row :: st.rows;
-    if Nyx_obs.Trace.on () then
-      Nyx_obs.Trace.span_end ~vns:until "sync-epoch"
-        [
           ("exports", Nyx_obs.Trace.Int row.se_exports);
           ("broadcast", Nyx_obs.Trace.Int row.se_broadcast);
           ("imports", Nyx_obs.Trace.Int row.se_imports);
@@ -515,30 +512,30 @@ let run_synced ~workers ~batch ~checkpoint ~boot (st : _ sync_state) entry t0 =
     | Some b when b >= 1 -> b
     | Some _ | None -> max 1 (instances / max 1 workers)
   in
-  traced ~instances ~sync_ns:(Some st.sync_ns) entry (fun () ->
-      let live =
-        with_fleet_pool ~workers ~instances ~batch (fun fleet_map ->
-            let boots =
-              fleet_map.fmap
-                (fun s ->
-                  match s.inst with
-                  | None -> None
-                  | Some x -> (
-                    try Some (boot x)
-                    with exn ->
-                      Printf.eprintf
-                        "nyx: fleet instance %d boot failed (%s); quarantined\n%!"
-                        s.idx (exn_brief exn);
-                      None))
-                st.slots
-            in
-            let live =
-              { st with slots = Array.map2 (fun s inst -> { s with inst }) st.slots boots }
-            in
-            drive live ~fleet_map ~workers ~checkpoint;
-            live)
-      in
-      finalize_sync live ~instances ~workers t0)
+  let live =
+    with_fleet_pool ~workers ~instances ~batch (fun fleet_map ->
+        let boots =
+          fleet_map.fmap
+            (fun s ->
+              match s.inst with
+              | None -> None
+              | Some x -> (
+                try Some (boot x)
+                with exn ->
+                  Printf.eprintf
+                    "nyx: fleet instance %d boot failed (%s); quarantined\n%!"
+                    s.idx (exn_brief exn);
+                  None))
+            st.slots
+        in
+        let live =
+          { st with slots = Array.map2 (fun s inst -> { s with inst }) st.slots boots }
+        in
+        drive live ~fleet_map ~workers ~checkpoint;
+        live)
+  in
+  finalize_sync live ~instances ~workers t0
+  |> trace_fleet ~instances ~sync_ns:(Some st.sync_ns) entry ~wall0:t0
 
 (* ------------------------------------------------------------------ *)
 
@@ -551,9 +548,9 @@ let run ?(instances = 52) ?domains ?(max_restarts = 3) ?run_instance ?peer
   | None ->
     if checkpoint <> None then
       invalid_arg "Fleet.run: ~checkpoint requires ~sync_ns";
-    traced ~instances ~sync_ns entry (fun () ->
-        run_independent ~instances ~workers ~max_restarts ~run_instance ~peer
-          ~peer_faults ~profile ~config entry t0)
+    run_independent ~instances ~workers ~max_restarts ~run_instance ~peer ~peer_faults
+      ~profile ~config entry t0
+    |> trace_fleet ~instances ~sync_ns entry ~wall0:t0
   | Some s when s <= 0 -> invalid_arg "Fleet.run: sync_ns must be positive"
   | Some sync_ns ->
     if run_instance <> None then

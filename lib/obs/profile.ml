@@ -54,53 +54,23 @@ let phase_name = function
   | Peer -> "peer"
   | Other -> "other"
 
-(* One campaign owns one profile on one domain (no locks): the fields are
-   plain mutable accumulators. [inner_v]/[inner_w] implement self-time:
-   while a span runs they accumulate the clock extent of spans nested
-   inside it, which the enclosing span subtracts from its own extent. *)
-type t = {
-  counts : int array;
-  virt : int array;
-  wall : float array;
-  mutable override_ : phase option;
-  mutable inner_v : int;
-  mutable inner_w : float;
-}
+(* One campaign owns one profile on one domain (no locks): plain
+   per-phase accumulators. Nesting and self-time live in [Obs], which
+   feeds [add] as each span closes. *)
+type t = { counts : int array; virt : int array; wall : float array }
 
 let create () =
   {
     counts = Array.make num_phases 0;
     virt = Array.make num_phases 0;
     wall = Array.make num_phases 0.0;
-    override_ = None;
-    inner_v = 0;
-    inner_w = 0.0;
   }
 
-let span t phase clock f =
-  let ph = match t.override_ with Some p -> p | None -> phase in
-  let v0 = Nyx_sim.Clock.now_ns clock in
-  let w0 = Unix.gettimeofday () in
-  let outer_v = t.inner_v and outer_w = t.inner_w in
-  t.inner_v <- 0;
-  t.inner_w <- 0.0;
-  let finish () =
-    let dv = Nyx_sim.Clock.now_ns clock - v0 in
-    let dw = Unix.gettimeofday () -. w0 in
-    let i = index ph in
-    t.counts.(i) <- t.counts.(i) + 1;
-    t.virt.(i) <- t.virt.(i) + (dv - t.inner_v);
-    t.wall.(i) <- t.wall.(i) +. (dw -. t.inner_w);
-    (* Report our whole extent to the enclosing span (if any). *)
-    t.inner_v <- outer_v + dv;
-    t.inner_w <- outer_w +. dw
-  in
-  Fun.protect ~finally:finish f
-
-let with_override t phase f =
-  let saved = t.override_ in
-  t.override_ <- Some phase;
-  Fun.protect ~finally:(fun () -> t.override_ <- saved) f
+let add t phase ~virtual_ns ~wall_s =
+  let i = index phase in
+  t.counts.(i) <- t.counts.(i) + 1;
+  t.virt.(i) <- t.virt.(i) + virtual_ns;
+  t.wall.(i) <- t.wall.(i) +. wall_s
 
 (* Checkpoint support: the deterministic accumulators only. Wall-clock
    columns are informational and restart from zero on resume. *)

@@ -3,11 +3,13 @@
 
     A profile accumulates, per phase, how much {e virtual} time the
     campaign spent and how often the phase ran, plus the real wall-clock
-    self-time as an informational column. Spans nest: a span records its
-    self-time (its clock extent minus that of spans opened inside it), so
-    phase totals never double-count and — together with the [Other]
-    remainder computed by {!snapshot} — always sum to exactly the
-    campaign's [virtual_ns].
+    self-time as an informational column. The spans themselves are
+    {!Obs.span}s: each records its self-time (its clock extent minus that
+    of spans opened inside it), so phase totals never double-count and —
+    together with the [Other] remainder computed by {!snapshot} — always
+    sum to exactly the campaign's [virtual_ns]. The same spans are the
+    trace's close events, so folding a trace's self-times by phase gives
+    back this profile.
 
     Phases map to the paper's reset-cost analysis (Table 3) as follows:
     [Reset] is snapshot-restore work (root and incremental), the paper's
@@ -30,10 +32,10 @@
     bytecode campaigns); [Other] is everything unattributed (target boot,
     root-snapshot creation).
 
-    Accumulation is purely observational: it reads the virtual clock and
-    the wall clock but never advances either, so a profiled campaign
-    produces bit-identical results to an unprofiled one. A profile is
-    owned by a single campaign (one domain) — it holds no locks. *)
+    Accumulation is purely observational — {!Obs} reads the clocks, never
+    advances them — so a profiled campaign produces bit-identical results
+    to an unprofiled one. A profile is owned by a single campaign (one
+    domain at a time) — it holds no locks. *)
 
 type phase =
   | Reset
@@ -55,17 +57,9 @@ type t
 
 val create : unit -> t
 
-val span : t -> phase -> Nyx_sim.Clock.t -> (unit -> 'a) -> 'a
-(** [span t phase clock f] runs [f], attributing the virtual time it
-    advances [clock] by — minus any nested [span]'s share — to [phase]
-    (self-time accounting). Under {!with_override} the given [phase] is
-    ignored in favour of the override. Exceptions propagate; the span is
-    still recorded. *)
-
-val with_override : t -> phase -> (unit -> 'a) -> 'a
-(** Attribute every span opened during [f] to the given phase, whatever
-    phase its site names — how trim charges its internal resets and
-    executions to [Trim]. Restores the previous override on exit. *)
+val add : t -> phase -> virtual_ns:int -> wall_s:float -> unit
+(** Count one closed span of [phase] and add its self-times. {!Obs.span}
+    is the only caller: it owns nesting, self-time and the override. *)
 
 (** {2 Checkpoint support} *)
 

@@ -1,11 +1,12 @@
-type value = Int of int | Float of float | Str of string | Bool of bool
+type value = Int of int | Str of string | Bool of bool
 
 type event = {
   name : string;
-  ph : [ `B | `E | `I ];
+  ph : [ `X | `I ];
   dom : int;
   depth : int;
   vns : int;
+  dur : int;
   wall_ns : int;
   fields : (string * value) list;
 }
@@ -37,20 +38,16 @@ let sink : sink option ref =
         Printf.eprintf "NYX_TRACE: cannot open %s (%s); tracing disabled\n%!" path m;
         None))
 
-let on () = !sink <> None
+let on () = match !sink with None -> false | Some _ -> true
+
+(* Wall time the armed sink counts [wt] from: small stamps that stay
+   exact as JSON numbers (doubles). Written with [sink], under the same
+   discipline — at load and by the single-writer test helpers. Domain-safe:
+   read-only while any worker domain runs. *)
+let epoch = ref (Unix.gettimeofday ())
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain buffers.                                                 *)
-
-type dstate = {
-  buf : Buffer.t;  (* pending JSONL bytes, flushed under [sink_mutex] *)
-  mutable stack : string list;  (* open span names, innermost first *)
-}
-
-(* Domain-safety: domain-local storage — each domain gets its own buffer
-   and span stack from this key, so event sites never contend. *)
-let dls : dstate Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { buf = Buffer.create 4096; stack = [] })
 
 let flush_threshold = 1 lsl 16
 
@@ -63,8 +60,9 @@ let inject_flush_failure () =
   fail_next_flush := true;
   Mutex.unlock sink_mutex
 
-let flush_dstate d =
-  if Buffer.length d.buf > 0 then begin
+(* Write one domain's pending JSONL bytes to the sink under [sink_mutex]. *)
+let flush_buf buf =
+  if Buffer.length buf > 0 then begin
     (match !sink with
     | Some (File chan) -> (
       Mutex.lock sink_mutex;
@@ -75,7 +73,7 @@ let flush_dstate d =
         end
         else
           match
-            Buffer.output_buffer chan d.buf;
+            Buffer.output_buffer chan buf;
             Stdlib.flush chan
           with
           | () -> Ok ()
@@ -92,12 +90,21 @@ let flush_dstate d =
           m);
       Mutex.unlock sink_mutex)
     | Some (Memory _) | None -> ());
-    Buffer.clear d.buf
+    Buffer.clear buf
   end
 
-let flush () = flush_dstate (Domain.DLS.get dls)
+(* Domain-safety: domain-local storage — each domain gets its own buffer
+   from this key, so event sites never contend. The initialiser runs on
+   the domain that first emits and registers the flush of its buffer for
+   that domain's exit — a worker's when the pool joins it, the main
+   domain's at program exit. *)
+let dls : Buffer.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let buf = Buffer.create 4096 in
+      Domain.at_exit (fun () -> flush_buf buf);
+      buf)
 
-let () = at_exit flush
+let flush () = flush_buf (Domain.DLS.get dls)
 
 (* ------------------------------------------------------------------ *)
 (* JSON encoding.                                                      *)
@@ -119,7 +126,6 @@ let add_json_string b s =
 
 let add_value b = function
   | Int i -> Buffer.add_string b (string_of_int i)
-  | Float f -> Buffer.add_string b (Printf.sprintf "%.6g" f)
   | Str s -> add_json_string b s
   | Bool v -> Buffer.add_string b (string_of_bool v)
 
@@ -127,13 +133,18 @@ let add_event_json b e =
   Buffer.add_string b "{\"ev\":";
   add_json_string b e.name;
   Buffer.add_string b ",\"ph\":\"";
-  Buffer.add_char b (match e.ph with `B -> 'B' | `E -> 'E' | `I -> 'I');
+  Buffer.add_char b (match e.ph with `X -> 'X' | `I -> 'I');
   Buffer.add_string b "\",\"dom\":";
   Buffer.add_string b (string_of_int e.dom);
   Buffer.add_string b ",\"depth\":";
   Buffer.add_string b (string_of_int e.depth);
   Buffer.add_string b ",\"vt\":";
   Buffer.add_string b (string_of_int e.vns);
+  (match e.ph with
+  | `X ->
+    Buffer.add_string b ",\"dur\":";
+    Buffer.add_string b (string_of_int e.dur)
+  | `I -> ());
   Buffer.add_string b ",\"wt\":";
   Buffer.add_string b (string_of_int e.wall_ns);
   List.iter
@@ -153,9 +164,9 @@ let event_json e =
 (* ------------------------------------------------------------------ *)
 (* Emission.                                                           *)
 
-let wall_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
-let emit d e =
+let emit ph name ~vns ~dur ~depth ~wall fields =
+  let dom = (Domain.self () :> int) and wall_ns = int_of_float ((wall -. !epoch) *. 1e9) in
+  let e = { name; ph; dom; depth; vns; dur; wall_ns; fields } in
   match !sink with
   | None -> ()
   | Some (Memory events) ->
@@ -163,72 +174,38 @@ let emit d e =
     events := e :: !events;
     Mutex.unlock sink_mutex
   | Some (File _) ->
-    add_event_json d.buf e;
-    Buffer.add_char d.buf '\n';
-    if Buffer.length d.buf >= flush_threshold || (e.ph = `E && e.depth = 0) then
-      flush_dstate d
+    let buf = Domain.DLS.get dls in
+    add_event_json buf e;
+    Buffer.add_char buf '\n';
+    if Buffer.length buf >= flush_threshold then flush_buf buf
 
-let mk d ph ~vns name fields =
-  {
-    name;
-    ph;
-    dom = (Domain.self () :> int);
-    depth = List.length d.stack;
-    vns;
-    wall_ns = wall_ns ();
-    fields;
-  }
+let instant ?(vns = 0) ?(depth = 0) name fields =
+  if on () then emit `I name ~vns ~dur:0 ~depth ~wall:(Unix.gettimeofday ()) fields
 
-let instant ?(vns = 0) name fields =
-  if on () then begin
-    let d = Domain.DLS.get dls in
-    emit d (mk d `I ~vns name fields)
-  end
-
-let span_begin ?(vns = 0) name fields =
-  if on () then begin
-    let d = Domain.DLS.get dls in
-    emit d (mk d `B ~vns name fields);
-    d.stack <- name :: d.stack
-  end
-
-let span_end ?(vns = 0) name fields =
-  if on () then begin
-    let d = Domain.DLS.get dls in
-    (match d.stack with [] -> () | _ :: tl -> d.stack <- tl);
-    emit d (mk d `E ~vns name fields)
-  end
-
-let with_span ?vns_of name fields f =
-  if not (on ()) then f ()
-  else begin
-    let vns = match vns_of with Some g -> g () | None -> 0 in
-    span_begin ~vns name fields;
-    Fun.protect
-      ~finally:(fun () ->
-        let vns = match vns_of with Some g -> g () | None -> 0 in
-        span_end ~vns name [])
-      f
-  end
+let complete name ~vns ~dur ~depth ~wall fields =
+  if on () then emit `X name ~vns ~dur ~depth ~wall fields
 
 (* ------------------------------------------------------------------ *)
 (* Test sink.                                                          *)
 
+(* Flush any pending file-sink bytes so they are not re-attributed, then
+   arm [s]; returns the sink to restore. *)
+let arm s =
+  let saved = !sink in
+  flush ();
+  sink := Some s;
+  epoch := Unix.gettimeofday ();
+  saved
+
 let with_memory_sink f =
   let events = ref [] in
-  let saved = !sink in
-  (* Flush any pending file-sink bytes so they are not re-attributed. *)
-  flush ();
-  sink := Some (Memory events);
-  let restore () = sink := saved in
-  let r = Fun.protect ~finally:restore f in
+  let saved = arm (Memory events) in
+  let r = Fun.protect ~finally:(fun () -> sink := saved) f in
   (r, List.rev !events)
 
 let with_file_sink path f =
   let chan = open_out_bin path in
-  let saved = !sink in
-  flush ();
-  sink := Some (File chan);
+  let saved = arm (File chan) in
   let restore () =
     flush ();
     (* The sink may have disabled itself (flush failure closed [chan]). *)

@@ -1,4 +1,4 @@
-(** Structured tracing: JSONL event streams from the fuzzing hot paths.
+(** Structured tracing: the JSONL event sink behind {!Obs}.
 
     Off by default and zero-cost when off: every event site is guarded by
     [if Trace.on () then ...], a single load + branch, and field lists are
@@ -6,27 +6,29 @@
     environment (read once at load, like [NYX_SANITIZE]) arms the tracer
     and appends one JSON object per line to [<path>].
 
-    Events carry two timestamps: [vns], the deterministic virtual-time
-    stamp supplied by the instrumentation site (same-seed runs produce
-    identical [vns] sequences), and [wall_ns], the real wall clock
-    (informational only — determinism tests mask it). Span begin/end
-    events additionally carry the per-domain nesting [depth], so a trace
-    is a well-nested forest per domain.
+    A span is written once, when it closes, as one complete event
+    ([ph] ["X"]) carrying its start [vt], its virtual duration [dur] and
+    its nesting [depth]; {!Obs.span} is the only place lib/ opens one.
+    Instants ([ph] ["I"]) mark points. Every event carries two clocks:
+    [vt], the deterministic virtual-time stamp (same-seed runs produce
+    identical [vt] sequences), and [wt], wall-clock ns since the sink was
+    armed (informational only — determinism tests mask it).
 
     Domain-safety: each domain accumulates events into its own buffer
     (domain-local storage); buffers are flushed to the shared sink under
     a mutex, so lines from concurrent domains never interleave
     mid-record. The [dom] field identifies the emitting domain. *)
 
-type value = Int of int | Float of float | Str of string | Bool of bool
+type value = Int of int | Str of string | Bool of bool
 
 type event = {
   name : string;
-  ph : [ `B  (** span begin *) | `E  (** span end *) | `I  (** instant *) ];
+  ph : [ `X  (** complete span, written at its close *) | `I  (** instant *) ];
   dom : int;  (** emitting domain id *)
-  depth : int;  (** span nesting level in that domain (B and its E agree) *)
-  vns : int;  (** virtual-time stamp; deterministic for a fixed seed *)
-  wall_ns : int;  (** wall-clock stamp; informational, masked in tests *)
+  depth : int;  (** spans of the same {!Obs.t} enclosing this one *)
+  vns : int;  (** virtual-time stamp (a span's start); deterministic *)
+  dur : int;  (** a span's virtual extent; 0 for instants *)
+  wall_ns : int;  (** wall ns since the sink was armed; masked in tests *)
   fields : (string * value) list;
 }
 
@@ -34,28 +36,20 @@ val on : unit -> bool
 (** Whether a sink is armed ([NYX_TRACE] at load, or a test sink). The
     guard every event site checks before building fields. *)
 
-val instant : ?vns:int -> string -> (string * value) list -> unit
-(** Emit a point event (default [vns] 0). No-op when off. *)
+val instant : ?vns:int -> ?depth:int -> string -> (string * value) list -> unit
+(** Emit a point event (default [vns] and [depth] 0). No-op when off. *)
 
-val span_begin : ?vns:int -> string -> (string * value) list -> unit
-(** Open a span on the current domain: emits a [`B] event and pushes the
-    span on the domain's nesting stack. *)
-
-val span_end : ?vns:int -> string -> (string * value) list -> unit
-(** Close the innermost span: emits a [`E] event with the matching
-    depth. The [name] should equal the matching [span_begin]'s. *)
-
-val with_span :
-  ?vns_of:(unit -> int) -> string -> (string * value) list -> (unit -> 'a) -> 'a
-(** [with_span ~vns_of name fields f] wraps [f] in a begin/end pair,
-    stamping each end-point via [vns_of] (the span's virtual extent).
-    The end event is emitted even when [f] raises. When tracing is off
-    this is exactly [f ()]. *)
+val complete :
+  string -> vns:int -> dur:int -> depth:int -> wall:float -> (string * value) list -> unit
+(** Emit one closed span: [name] started at virtual [vns] and wall time
+    [wall] (seconds, as [Unix.gettimeofday]) and lasted [dur] virtual ns.
+    No-op when off. {!Obs.span} calls it for phase spans; the campaign,
+    fleet and sync-epoch spans call it directly at their close. *)
 
 val flush : unit -> unit
-(** Flush the calling domain's buffer to the sink. Buffers also
-    auto-flush when a domain's nesting returns to depth 0 and when they
-    exceed an internal size threshold; the main domain flushes [at_exit]. *)
+(** Flush the calling domain's buffer to the sink. Buffers also flush
+    when they exceed an internal size threshold and when their domain
+    exits; campaigns and fleets flush the calling domain as they end. *)
 
 val event_json : event -> string
 (** The JSONL encoding of one event (no trailing newline) — the format

@@ -14,11 +14,10 @@ type sess = {
 
 type t = {
   script : Peer_script.t;
-  clock : Nyx_sim.Clock.t;
   net : Net.t;
   runtime : Nyx_targets.Target.runtime;
   target : Nyx_targets.Target.t;
-  profile : Nyx_obs.Profile.t option;
+  obs : Nyx_obs.Obs.t;
   sess : sess;
   mutable plan : Plan.t option;
   (* Cumulative campaign-level counters (not snapshot state). *)
@@ -39,14 +38,13 @@ let peer_site_index site =
   in
   go 0 Fault.peer_sites
 
-let create ?profile ~clock ~net ~runtime ~target script =
+let create ~obs ~net ~runtime ~target script =
   {
     script;
-    clock;
     net;
     runtime;
     target;
-    profile;
+    obs;
     sess = { s_stage = 0; s_flow = None; s_adopted = 0; s_streak = 0; s_quar = false };
     plan = None;
     n_actions = 0;
@@ -83,11 +81,6 @@ let register_aux t aux =
     }
 
 (* ------------------------------------------------------------------ *)
-
-let prof t f =
-  match t.profile with
-  | None -> f ()
-  | Some p -> Nyx_obs.Profile.span p Nyx_obs.Profile.Peer t.clock f
 
 let is_udp t = t.target.Nyx_targets.Target.info.Nyx_targets.Target.proto = Net.Udp
 
@@ -160,12 +153,10 @@ let note_desync t ~what ~reconnect =
     Backoff.delay_ns ~base_ns:1_000_000 ~cap_ns:64_000_000
       ~attempt:(min (t.sess.s_streak - 1) 30)
   in
-  Nyx_sim.Clock.advance t.clock delay;
+  Nyx_sim.Clock.advance (Nyx_obs.Obs.clock t.obs) delay;
   t.backoff_ns <- t.backoff_ns + delay;
   if Nyx_obs.Trace.on () then
-    Nyx_obs.Trace.instant
-      ~vns:(Nyx_sim.Clock.now_ns t.clock)
-      "peer-desync"
+    Nyx_obs.Obs.event t.obs "peer-desync"
       [
         ("action", Nyx_obs.Trace.Str what);
         ("streak", Nyx_obs.Trace.Int t.sess.s_streak);
@@ -215,7 +206,7 @@ let handle_connect t =
 let encode_with_fault t msg site =
   match (t.plan, site) with
   | Some plan, Some s -> (
-    match Plan.fire plan s ~vns:(Nyx_sim.Clock.now_ns t.clock) with
+    match Plan.fire plan s ~vns:(Nyx_sim.Clock.now_ns (Nyx_obs.Obs.clock t.obs)) with
     | Some f ->
       let wires, detail = Peer_fault.apply f msg in
       (* By construction every peer fault is recovered: the supervision
@@ -224,9 +215,7 @@ let encode_with_fault t msg site =
       Plan.record_recovered plan f;
       t.fired.(peer_site_index s) <- t.fired.(peer_site_index s) + 1;
       if Nyx_obs.Trace.on () then
-        Nyx_obs.Trace.instant
-          ~vns:(Nyx_sim.Clock.now_ns t.clock)
-          "peer-fault"
+        Nyx_obs.Obs.event t.obs "peer-fault"
           [
             ("site", Nyx_obs.Trace.Str (Fault.site_name s));
             ("seq", Nyx_obs.Trace.Int f.Fault.seq);
@@ -267,12 +256,12 @@ let handle_close t =
 
 let handler t ~send:_ (nt : Nyx_spec.Spec.node_ty) _inputs data =
   match nt.Nyx_spec.Spec.nt_name with
-  | "connect" -> Some (prof t (fun () -> handle_connect t))
+  | "connect" -> Some (Nyx_obs.Obs.span t.obs Nyx_obs.Profile.Peer (fun () -> handle_connect t))
   | "packet" ->
-    prof t (fun () -> handle_packet t data);
+    Nyx_obs.Obs.span t.obs Nyx_obs.Profile.Peer (fun () -> handle_packet t data);
     Some []
   | "close" ->
-    prof t (fun () -> handle_close t);
+    Nyx_obs.Obs.span t.obs Nyx_obs.Profile.Peer (fun () -> handle_close t);
     Some []
   | _ -> None
 

@@ -27,13 +27,14 @@
 type t
 
 val create :
-  ?profile:Nyx_obs.Profile.t ->
-  clock:Nyx_sim.Clock.t ->
+  obs:Nyx_obs.Obs.t ->
   net:Nyx_netemu.Net.t ->
   runtime:Nyx_targets.Target.runtime ->
   target:Nyx_targets.Target.t ->
   Peer_script.t ->
   t
+(** The driver charges its work to [obs]'s clock and opens one [Peer]
+    span per claimed opcode on it. *)
 
 val register_aux : t -> Nyx_snapshot.Aux_state.t -> unit
 (** Must run before the root snapshot is taken (the engine restores only

@@ -261,27 +261,73 @@ let test_trace_sync_epoch_spans () =
   let o, events =
     Nyx_obs.Trace.with_memory_sink (fun () -> sync_run config entry)
   in
-  let count ph =
-    List.length
-      (List.filter
-         (fun (e : Nyx_obs.Trace.event) ->
-           e.Nyx_obs.Trace.name = "sync-epoch" && e.Nyx_obs.Trace.ph = ph)
-         events)
+  let epoch_events =
+    List.filter
+      (fun (e : Nyx_obs.Trace.event) -> e.Nyx_obs.Trace.name = "sync-epoch")
+      events
   in
   let epochs = List.length o.Fleet.sync_epochs in
   check_bool "epochs happened" true (epochs > 0);
-  check_int "one begin span per epoch" epochs (count `B);
-  check_int "one end span per epoch" epochs (count `E);
+  check_int "one span per epoch" epochs (List.length epoch_events);
   (* Barrier stamps are the deterministic epoch boundaries. *)
   List.iter2
     (fun (row : Fleet.sync_epoch) (e : Nyx_obs.Trace.event) ->
+      check_bool "a complete span" true (e.Nyx_obs.Trace.ph = `X);
       check_int "span stamped at the barrier" row.Fleet.se_at_ns
-        e.Nyx_obs.Trace.vns)
-    o.Fleet.sync_epochs
-    (List.filter
-       (fun (e : Nyx_obs.Trace.event) ->
-         e.Nyx_obs.Trace.name = "sync-epoch" && e.Nyx_obs.Trace.ph = `B)
-       events)
+        e.Nyx_obs.Trace.vns;
+      check_int "the barrier takes no fleet time" 0 e.Nyx_obs.Trace.dur)
+    o.Fleet.sync_epochs epoch_events
+
+let find_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1) in
+  go 0
+
+(* Zero the fields that legitimately depend on the domain count — the
+   emitting domain, the nesting depth and the wall stamp — in one JSONL
+   line. *)
+let mask_line line =
+  List.fold_left
+    (fun line key ->
+      let k = "\"" ^ key ^ "\":" in
+      match find_sub line k with
+      | None -> line
+      | Some i ->
+        let start = i + String.length k in
+        let stop = ref start in
+        while
+          !stop < String.length line && (line.[!stop] = '-' || (line.[!stop] >= '0' && line.[!stop] <= '9'))
+        do
+          incr stop
+        done;
+        String.sub line 0 start ^ "0" ^ String.sub line !stop (String.length line - !stop))
+    line [ "dom"; "depth"; "wt" ]
+
+let read_lines path =
+  let ic = open_in_bin path in
+  let rec go acc = match input_line ic with l -> go (l :: acc) | exception End_of_file -> acc in
+  let lines = go [] in
+  close_in ic;
+  lines
+
+(* Worker domains' buffered events reach the file sink: a synced fleet
+   writes the same events whatever the domain count. *)
+let test_trace_file_sink_domains () =
+  let entry = echo_entry () in
+  let config = cfg ~seed:7 ~budget_ns:1_000_000_000 () in
+  let traced domains =
+    let path = Filename.temp_file "nyx_fleet_trace" ".jsonl" in
+    ignore
+      (Nyx_obs.Trace.with_file_sink path (fun () ->
+           sync_run ~domains ~sync_ns:100_000_000 config entry));
+    let lines = read_lines path in
+    Sys.remove path;
+    List.sort compare (List.map mask_line lines)
+  in
+  let seq = traced 1 and par = traced 4 in
+  check_bool "events were traced" true (seq <> []);
+  check_int "same event count" (List.length seq) (List.length par);
+  check_bool "same events at 1 and 4 domains" true (seq = par)
 
 let () =
   Alcotest.run "nyx_fleet_sync"
@@ -321,5 +367,7 @@ let () =
             test_profile_has_corpus_sync_phase;
           Alcotest.test_case "sync-epoch trace spans" `Quick
             test_trace_sync_epoch_spans;
+          Alcotest.test_case "file sink keeps worker events" `Quick
+            test_trace_file_sink_domains;
         ] );
     ]
