@@ -150,13 +150,23 @@ let engine =
     @@ field (fun s -> s.remirrors) int
     @@ fields_end
   in
-  record (fun p_mirror p_creates_since_remirror p_stats p_dirty ->
-      { p_mirror; p_creates_since_remirror; p_stats; p_dirty })
-  @@ field (fun p -> p.p_mirror) (list int)
-  @@ field (fun p -> p.p_creates_since_remirror) int
-  @@ field (fun p -> p.p_stats) stats
-  @@ field (fun p -> p.p_dirty) (list int)
-  @@ fields_end
+  let fields =
+    record (fun p_mirror p_creates_since_remirror p_stats p_dirty ->
+        { p_mirror; p_creates_since_remirror; p_stats; p_dirty })
+    @@ field (fun p -> p.p_mirror) (list int)
+    @@ field (fun p -> p.p_creates_since_remirror) int
+    @@ field (fun p -> p.p_stats) stats
+    @@ field (fun p -> p.p_dirty) (list int)
+    @@ fields_end
+  in
+  (* Campaigns run on the default fuzzing VM; pfns it cannot hold would
+     fail or index out of bounds when the resumed engine applies them. *)
+  let checked p =
+    match check_persisted ~num_pages:Nyx_vm.Vm.fuzz_config.Nyx_vm.Vm.mem_pages p with
+    | Ok () -> p
+    | Error m -> raise (Corrupt ("engine: " ^ m))
+  in
+  conv Fun.id checked fields
 
 let plan_state =
   let open Nyx_resilience.Plan in

@@ -7,6 +7,12 @@ type buttons = { right : bool; left : bool; jump : bool; run : bool }
 
 exception Level_solved of { frames : int }
 
+(* Coverage sites, interned once at module load. *)
+let walljump_site = Ctx.site "mario/walljump-glitch"
+let spike_site = Ctx.site "mario/death:spike"
+let pit_site = Ctx.site "mario/death:pit"
+let win_site = Ctx.site "mario/win"
+
 let frames_per_byte = 4
 let frame_cost_ns = 50_000
 
@@ -118,7 +124,7 @@ let step t (b : buttons) =
         jump_pressed && (not on_ground) && vy > 0 && vy < 56
         && ((wall = 1 && b.right) || (wall = -1 && b.left))
       then begin
-        Ctx.hit t.ctx "mario/walljump-glitch";
+        Ctx.hit t.ctx walljump_site;
         -jump_velocity
       end
       else vy
@@ -168,11 +174,11 @@ let step t (b : buttons) =
     (* Hazards and goals. *)
     let alive_now = ref true in
     if box_hits t Level.Spike x y then begin
-      Ctx.hit t.ctx "mario/death:spike";
+      Ctx.hit t.ctx spike_site;
       alive_now := false
     end;
     if y / 16 > t.level.Level.height * Level.tile_px then begin
-      Ctx.hit t.ctx "mario/death:pit";
+      Ctx.hit t.ctx pit_site;
       alive_now := false
     end;
     let frame = decode_i32 state f_frame + 1 in
@@ -193,7 +199,7 @@ let step t (b : buttons) =
        (integer site ids: this runs every frame). *)
     Ctx.hit_id t.ctx (0x4d00 + (977 * (x / 16 / 32)) + (31 * (y / 16 / 32)));
     if won_now then begin
-      Ctx.hit t.ctx "mario/win";
+      Ctx.hit t.ctx win_site;
       raise (Level_solved { frames = frame })
     end
   end

@@ -45,12 +45,16 @@ type t = {
   boundaries : bool;
 }
 
+(* Every table starts at this many buckets ([Hashtbl.create] rounds
+   smaller sizes up to it), so one still this size never resized. *)
+let table_size = 16
+
 let fresh_state () =
   {
-    socks = Hashtbl.create 16;
-    fds = Hashtbl.create 16;
-    flows = Hashtbl.create 16;
-    listeners = Hashtbl.create 4;
+    socks = Hashtbl.create table_size;
+    fds = Hashtbl.create table_size;
+    flows = Hashtbl.create table_size;
+    listeners = Hashtbl.create table_size;
     next_fd = 3; (* 0-2 are stdio *)
     next_sid = 1;
     next_flow = 1;
@@ -63,12 +67,135 @@ let create ?(backend = Emulated) ?(boundaries = true) clock =
 
 let backend t = t.backend
 
+(* In-place reload. The first load of a capture decodes it once into a
+   template, and every load rewrites the live state from the template:
+   the four tables are emptied and refilled, and each socket's fields are
+   copied into a record kept for that socket. The result marshals to the
+   capture's exact bytes:
+   - Each table is refilled bucket by bucket, every chain from its tail,
+     with [Hashtbl.add]: the same bucket array, the same chain order.
+     [Hashtbl.reset] keeps the live bucket array, or replaces an outgrown
+     one with a fresh [table_size] one. A template whose own tables grew
+     past [table_size] buckets cannot be rebuilt this way, so its
+     captures are reloaded with [Marshal] every time.
+   - Immutable values (option lists, backlogs, fd entries) are shared
+     with the template; each appears once in it, as in the capture.
+   - Packet bytes are copied, so the guest never writes into the
+     template and no two live packets share bytes.
+   Under NYX_SANITIZE every in-place load re-marshals the state and
+   raises if the image differs from the capture. *)
+
+let sanitize =
+  match Sys.getenv_opt "NYX_SANITIZE" with
+  | Some ("1" | "true" | "yes" | "on") -> true
+  | _ -> false
+
+type refill = {
+  r_socks : (int * sock * sock) array; (* sid, template socket, live twin *)
+  r_fds : (int * (int * int)) array;
+  r_flows : (int * int) array;
+  r_listeners : (int * int) array;
+  r_state : state; (* the decoded capture, never mutated *)
+}
+
+type template = { image : bytes; refill : refill option (* [None]: reload *) }
+
+(* A table's bindings in the order that re-adds them into the same chains:
+   [Hashtbl.fold] visits buckets in order, each chain head first, and
+   consing reverses that. *)
+let add_order tbl = Array.of_list (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let buckets tbl = (Hashtbl.stats tbl).Hashtbl.num_buckets
+
+let template_of image =
+  let st : state = Marshal.from_bytes image 0 in
+  let refill =
+    if
+      buckets st.socks > table_size
+      || buckets st.fds > table_size
+      || buckets st.flows > table_size
+      || buckets st.listeners > table_size
+    then None
+    else
+      Some
+        {
+          r_socks =
+            Array.map (fun (sid, s) -> (sid, s, { s with port = s.port })) (add_order st.socks);
+          r_fds = add_order st.fds;
+          r_flows = add_order st.flows;
+          r_listeners = add_order st.listeners;
+          r_state = st;
+        }
+  in
+  { image; refill }
+
+let copy_packet (fl, data) = (fl, Bytes.copy data)
+
+let refill_table tbl entries =
+  Hashtbl.reset tbl;
+  for i = 0 to Array.length entries - 1 do
+    let k, v = entries.(i) in
+    Hashtbl.add tbl k v
+  done
+
+let refill_state st r =
+  Hashtbl.reset st.socks;
+  for i = 0 to Array.length r.r_socks - 1 do
+    let sid, s, live = r.r_socks.(i) in
+    live.port <- s.port;
+    live.listening <- s.listening;
+    live.backlog <- s.backlog;
+    live.inbox <- List.map copy_packet s.inbox;
+    live.partial <- Option.map copy_packet s.partial;
+    live.out_rev <- List.map copy_packet s.out_rev;
+    live.peer_open <- s.peer_open;
+    live.eof_pending <- s.eof_pending;
+    live.refcount <- s.refcount;
+    live.conn_flow <- s.conn_flow;
+    live.reply_flow <- s.reply_flow;
+    live.write_shut <- s.write_shut;
+    live.options <- s.options;
+    live.outbound <- s.outbound;
+    Hashtbl.add st.socks sid live
+  done;
+  refill_table st.fds r.r_fds;
+  refill_table st.flows r.r_flows;
+  refill_table st.listeners r.r_listeners;
+  let src = r.r_state in
+  st.next_fd <- src.next_fd;
+  st.next_sid <- src.next_sid;
+  st.next_flow <- src.next_flow;
+  st.processes <- src.processes;
+  st.syscalls <- src.syscalls
+
+(* The last two captures loaded, most recent first: a root restore loads
+   the incremental snapshot's capture and then the root's. *)
+let load t cache image =
+  let tp =
+    match !cache with
+    | tp :: _ when tp.image == image -> tp
+    | [ recent; tp ] when tp.image == image ->
+      cache := [ tp; recent ];
+      tp
+    | cached ->
+      let tp = template_of image in
+      cache := (match cached with [] -> [ tp ] | recent :: _ -> [ tp; recent ]);
+      tp
+  in
+  match tp.refill with
+  | None -> t.st <- Marshal.from_bytes image 0
+  | Some r ->
+    refill_state t.st r;
+    if sanitize && not (Bytes.equal (Marshal.to_bytes t.st []) image) then
+      failwith "Net: in-place reload does not reproduce the captured state"
+
 let register_aux t aux =
+  let cache = ref [] in
   Nyx_snapshot.Aux_state.register aux
     {
       Nyx_snapshot.Aux_state.name = "netemu";
       save = (fun () -> Marshal.to_bytes t.st []);
-      load = (fun b -> t.st <- Marshal.from_bytes b 0);
+      load = load t cache;
     };
   (* The syscall counter is pure telemetry: it advances on every poll, so
      leaving it in the hashed image would make every op look like a new

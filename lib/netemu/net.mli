@@ -41,7 +41,12 @@ val create : ?backend:backend -> ?boundaries:bool -> Nyx_sim.Clock.t -> t
 (** [boundaries] defaults to [true]. *)
 
 val register_aux : t -> Nyx_snapshot.Aux_state.t -> unit
-(** Register this stack's state for whole-VM snapshots. *)
+(** Register this stack's state for whole-VM snapshots. A capture is the
+    [Marshal] image of the state. Loading one rewrites the live state in
+    place from a template decoded at the capture's first load (the last
+    two captures loaded are kept), so that the state marshals back to
+    the capture byte for byte; under [NYX_SANITIZE] each load checks
+    this and fails otherwise. *)
 
 val backend : t -> backend
 

@@ -262,6 +262,26 @@ let checkpoint t =
     p_dirty = Dirty_log.to_list (Memory.dirty t.vm.mem);
   }
 
+let check_persisted ~num_pages p =
+  let outside what pfns =
+    List.find_opt (fun pfn -> pfn < 0 || pfn >= num_pages) pfns
+    |> Option.map (fun pfn ->
+           Printf.sprintf "%s pfn %d outside [0, %d)" what pfn num_pages)
+  in
+  let rec repeated = function
+    | a :: (b :: _ as rest) -> if a = b then Some a else repeated rest
+    | _ -> None
+  in
+  match outside "mirror" p.p_mirror with
+  | Some m -> Error m
+  | None -> (
+    match outside "dirty" p.p_dirty with
+    | Some m -> Error m
+    | None -> (
+      match repeated (List.sort compare p.p_dirty) with
+      | Some pfn -> Error (Printf.sprintf "dirty pfn %d listed twice" pfn)
+      | None -> Ok ()))
+
 (* Cost-free: the restored clock value already includes every charge the
    original run paid to build this state. *)
 let restore_checkpoint t p =

@@ -91,6 +91,12 @@ type persisted = {
 val checkpoint : t -> persisted
 (** @raise Invalid_argument if an incremental snapshot is active. *)
 
+val check_persisted : num_pages:int -> persisted -> (unit, string) result
+(** Whether {!restore_checkpoint} can apply this state to a VM of
+    [num_pages] pages: every mirror and dirty pfn lies in
+    [\[0, num_pages)], and no dirty pfn repeats (the dirty stack holds
+    each page once). *)
+
 val restore_checkpoint : t -> persisted -> unit
 (** Re-establish a checkpointed engine state on a freshly booted engine
     for the same target. Cost-free: the caller restores the virtual clock

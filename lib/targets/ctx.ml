@@ -18,16 +18,23 @@ let of_vm ?asan ?layout_cookie ~net (vm : Nyx_vm.Vm.t) =
   create ?asan ?layout_cookie ~heap:vm.Nyx_vm.Vm.heap ~net ~disk:vm.Nyx_vm.Vm.disk
     vm.Nyx_vm.Vm.clock
 
-let hit t site =
-  Nyx_sim.Clock.advance t.clock Nyx_sim.Cost.edge;
-  Coverage.hit t.cov (Hashtbl.hash site)
+type site = { id : int; taken : int; not_taken : int }
 
-let hit_id t site =
-  Nyx_sim.Clock.advance t.clock Nyx_sim.Cost.edge;
-  Coverage.hit t.cov site
+let site name =
+  {
+    id = Hashtbl.hash name;
+    taken = Hashtbl.hash (name ^ ":T");
+    not_taken = Hashtbl.hash (name ^ ":F");
+  }
 
-let branch t site cond =
-  hit t (if cond then site ^ ":T" else site ^ ":F");
+let hit_id t id =
+  Nyx_sim.Clock.advance t.clock Nyx_sim.Cost.edge;
+  Coverage.hit t.cov id
+
+let hit t s = hit_id t s.id
+
+let branch t s cond =
+  hit_id t (if cond then s.taken else s.not_taken);
   cond
 
 let crash _t ~kind detail = raise (Crash { kind; detail })

@@ -3,8 +3,8 @@
     Bundles the guest heap (all mutable state), the emulated network stack,
     the coverage map and the virtual clock, plus sanitizer configuration.
     Instrumentation callbacks ({!hit}, {!branch}) are this reproduction's
-    analogue of AFL compile-time instrumentation: sites are named by
-    strings and hashed into the coverage map. *)
+    analogue of AFL compile-time instrumentation: each {!site} is named by
+    a string whose hashes, taken once, index the coverage map. *)
 
 type t = {
   heap : Nyx_vm.Guest_heap.t;
@@ -41,15 +41,26 @@ val of_vm :
   ?asan:bool -> ?layout_cookie:int -> net:Nyx_netemu.Net.t -> Nyx_vm.Vm.t -> t
 (** Convenience: heap, disk and clock taken from the VM. *)
 
-val hit : t -> string -> unit
-(** Record an edge at the site named by the string (hashed), charging
-    {!Nyx_sim.Cost.edge}. *)
+type site
+(** An instrumented code location: the coverage ids of a plain hit and of
+    both directions of a branch, hashed once from the site's name when
+    the value is built. Targets bind their sites at module load, so
+    recording an edge neither builds a string nor hashes one. *)
+
+val site : string -> site
+(** [site name]: [name] (conventionally ["target/label"]) is hashed with
+    [Hashtbl.hash] for {!hit}, and [name ^ ":T"] / [name ^ ":F"] for the
+    two directions of {!branch}. *)
+
+val hit : t -> site -> unit
+(** Record an edge at the site, charging {!Nyx_sim.Cost.edge}. *)
 
 val hit_id : t -> int -> unit
-(** Like {!hit} with a precomputed integer site id — for instrumentation
-    in per-frame hot paths (the Mario position feedback). *)
+(** Like {!hit} with a computed integer site id — for instrumentation
+    whose site is derived from runtime values (the Mario position
+    feedback). *)
 
-val branch : t -> string -> bool -> bool
+val branch : t -> site -> bool -> bool
 (** [branch t site cond] records the taken direction as an edge and
     returns [cond] — instrument-and-test in one expression. *)
 

@@ -1,7 +1,34 @@
 open Nyx_vm
 
 let name = "forked-daapd"
-let site s = name ^ "/" ^ s
+let site s = Ctx.site (name ^ "/" ^ s)
+
+(* Coverage sites, interned once at module load. *)
+module S = struct
+  let query_flag = site "query:flag"
+  let query_session_ok = site "query:session-ok"
+  let query_session_bad = site "query:session-bad"
+  let query_revision = site "query:revision"
+  let query_meta = site "query:meta"
+  let query_type = site "query:type"
+  let query_other = site "query:other"
+  let packet = site "packet"
+  let empty = site "empty"
+  let ua_itunes = site "ua:itunes"
+  let enc_gzip = site "enc:gzip"
+  let method_get = site "method:get"
+  let route_db_items = site "route:db-items"
+  let db_id_ok = site "db:id-ok"
+  let db_items = site "db:items"
+  let db_containers = site "db:containers"
+  let db_id_bad = site "db:id-bad"
+  let route_unknown = site "route:unknown"
+  let method_post = site "method:post"
+  let post_ctrl = site "post:ctrl"
+  let method_head = site "method:head"
+  let method_other = site "method:other"
+  let reqline_malformed = site "reqline:malformed"
+end
 
 let f_requests = 0
 
@@ -15,27 +42,29 @@ let routes =
     ("/logout", "");
   ]
 
+let route_sites = List.map (fun (path, _) -> (path, site ("route:" ^ path))) routes
+
 let parse_query ctx query =
   String.split_on_char '&' query
   |> List.iter (fun kv ->
          match String.index_opt kv '=' with
-         | None -> Ctx.hit ctx (site "query:flag")
+         | None -> Ctx.hit ctx S.query_flag
          | Some i -> (
            let key = String.sub kv 0 i in
            match key with
            | "session-id" -> (
              let v = String.sub kv (i + 1) (String.length kv - i - 1) in
              match Proto_util.int_of_string_bounded ~max:1_000_000 v with
-             | Some _ -> Ctx.hit ctx (site "query:session-ok")
-             | None -> Ctx.hit ctx (site "query:session-bad"))
-           | "revision-number" -> Ctx.hit ctx (site "query:revision")
-           | "meta" -> Ctx.hit ctx (site "query:meta")
-           | "type" -> Ctx.hit ctx (site "query:type")
-           | _ -> Ctx.hit ctx (site "query:other")))
+             | Some _ -> Ctx.hit ctx S.query_session_ok
+             | None -> Ctx.hit ctx S.query_session_bad)
+           | "revision-number" -> Ctx.hit ctx S.query_revision
+           | "meta" -> Ctx.hit ctx S.query_meta
+           | "type" -> Ctx.hit ctx S.query_type
+           | _ -> Ctx.hit ctx S.query_other))
 
 let on_packet ctx ~g:_ ~conn ~reply data =
   let heap = ctx.Ctx.heap in
-  Ctx.hit ctx (site "packet");
+  Ctx.hit ctx S.packet;
   Guest_heap.set_i32 heap (conn + f_requests)
     (Guest_heap.get_i32 heap (conn + f_requests) + 1);
   let text = Bytes.to_string data in
@@ -47,7 +76,7 @@ let on_packet ctx ~g:_ ~conn ~reply data =
             (String.length body) body))
   in
   match String.split_on_char '\n' text |> List.map String.trim with
-  | [] -> Ctx.hit ctx (site "empty")
+  | [] -> Ctx.hit ctx S.empty
   | request_line :: headers -> (
     match Proto_util.tokens request_line with
     | meth :: url :: _ -> (
@@ -58,12 +87,12 @@ let on_packet ctx ~g:_ ~conn ~reply data =
           match Proto_util.header_value ~name:"User-Agent" h with
           | Some ua ->
             ignore
-              (Ctx.branch ctx (site "ua:itunes") (Proto_util.starts_with_ci ~prefix:"iTunes" ua))
+              (Ctx.branch ctx S.ua_itunes (Proto_util.starts_with_ci ~prefix:"iTunes" ua))
           | None -> (
             match Proto_util.header_value ~name:"Accept-Encoding" h with
             | Some enc ->
-              ignore (Ctx.branch ctx (site "enc:gzip") (String.length enc > 0
-                                                        && String.contains enc 'g'))
+              ignore (Ctx.branch ctx S.enc_gzip (String.length enc > 0
+                                                 && String.contains enc 'g'))
             | None -> ()))
         headers;
       let path, query =
@@ -74,9 +103,9 @@ let on_packet ctx ~g:_ ~conn ~reply data =
       if query <> "" then parse_query ctx query;
       match meth with
       | "GET" -> (
-        Ctx.hit ctx (site "method:get");
+        Ctx.hit ctx S.method_get;
         (* Database items route: /databases/<n>/items *)
-        if Ctx.branch ctx (site "route:db-items")
+        if Ctx.branch ctx S.route_db_items
              (Proto_util.starts_with_ci ~prefix:"/databases/" path
              && String.length path > 11)
         then begin
@@ -86,41 +115,41 @@ let on_packet ctx ~g:_ ~conn ~reply data =
             let dbid = String.sub rest 0 i in
             match Proto_util.int_of_string_bounded ~max:100 dbid with
             | Some _ ->
-              Ctx.hit ctx (site "db:id-ok");
+              Ctx.hit ctx S.db_id_ok;
               let sub = String.sub rest i (String.length rest - i) in
-              if Ctx.branch ctx (site "db:items") (Proto_util.starts_with_ci ~prefix:"/items" sub)
+              if Ctx.branch ctx S.db_items (Proto_util.starts_with_ci ~prefix:"/items" sub)
               then r 200 "OK" "adbs"
-              else if Ctx.branch ctx (site "db:containers")
+              else if Ctx.branch ctx S.db_containers
                         (Proto_util.starts_with_ci ~prefix:"/containers" sub)
               then r 200 "OK" "aply"
               else r 404 "Not Found" ""
             | None ->
-              Ctx.hit ctx (site "db:id-bad");
+              Ctx.hit ctx S.db_id_bad;
               r 400 "Bad Request" "")
           | None -> r 200 "OK" "avdb")
         end
         else begin
           match List.assoc_opt path routes with
           | Some body ->
-            Ctx.hit ctx (site ("route:" ^ path));
+            Ctx.hit ctx (List.assoc path route_sites);
             r 200 "OK" body
           | None ->
-            Ctx.hit ctx (site "route:unknown");
+            Ctx.hit ctx S.route_unknown;
             r 404 "Not Found" ""
         end)
       | "POST" ->
-        Ctx.hit ctx (site "method:post");
-        if Ctx.branch ctx (site "post:ctrl") (Proto_util.starts_with_ci ~prefix:"/ctrl-int" path)
+        Ctx.hit ctx S.method_post;
+        if Ctx.branch ctx S.post_ctrl (Proto_util.starts_with_ci ~prefix:"/ctrl-int" path)
         then r 204 "No Content" ""
         else r 405 "Method Not Allowed" ""
       | "HEAD" ->
-        Ctx.hit ctx (site "method:head");
+        Ctx.hit ctx S.method_head;
         r 200 "OK" ""
       | _ ->
-        Ctx.hit ctx (site "method:other");
+        Ctx.hit ctx S.method_other;
         r 501 "Not Implemented" "")
     | _ ->
-      Ctx.hit ctx (site "reqline:malformed");
+      Ctx.hit ctx S.reqline_malformed;
       r 400 "Bad Request" "")
 
 let target =

@@ -52,12 +52,47 @@ let reply_str reply code text =
 let pre_auth_ok cmd = List.mem cmd [ "USER"; "PASS"; "QUIT"; "FEAT"; "SYST"; "NOOP"; "HELP" ]
 
 let hooks cfg =
-  let site s = cfg.name ^ "/" ^ s in
+  let site s = Ctx.site (cfg.name ^ "/" ^ s) in
+  (* Coverage sites, interned once per configuration. A command-named
+     site ("MKD:noarg", ...) is looked up by command in a short list. *)
+  let per_cmd suffix cmds = List.map (fun c -> (c, site (c ^ suffix))) cmds in
+  let module S = struct
+    let connect = site "connect"
+    let user_empty = site "USER:empty"
+    let user_anon = site "USER:anon"
+    let pass_order = site "PASS:order"
+    let type_i = site "TYPE:I"
+    let type_a = site "TYPE:A"
+    let pwd = site "PWD"
+    let cwd_up = site "CWD:up"
+    let cwd_root = site "CWD:root"
+    let cwd_abs = site "CWD:abs"
+    let cwd_deep = site "CWD:deep"
+    let cdup_root = site "CDUP:root"
+    let port_ok = site "PORT:ok"
+    let port_bad = site "PORT:bad"
+    let retr_noarg = site "RETR:noarg"
+    let retr_exists = site "RETR:exists"
+    let stor_noarg = site "STOR:noarg"
+    let rnto_order = site "RNTO:order"
+    let rest_ok = site "REST:ok"
+    let rest_bad = site "REST:bad"
+    let unknown = site "unknown"
+    let packet = site "packet"
+    let line_empty = site "line:empty"
+    let line_long = site "line:long"
+    let auth_gate = site "auth:gate"
+    let unsupported = site "unsupported"
+    let disconnect = site "disconnect"
+    let noarg = per_cmd ":noarg" [ "MKD"; "RMD"; "DELE"; "SIZE"; "MDTM"; "STAT" ]
+    let dotdot = per_cmd ":dotdot" [ "MKD"; "RMD"; "DELE" ]
+    let nodata = per_cmd ":nodata" [ "LIST"; "NLST" ]
+  end in
   let get ctx addr off = Guest_heap.get_i32 ctx.Ctx.heap (addr + off) in
   let set ctx addr off v = Guest_heap.set_i32 ctx.Ctx.heap (addr + off) v in
   let on_init _ctx ~g:_ = () in
   let on_connect ctx ~g ~conn:_ ~reply =
-    Ctx.hit ctx (site "connect");
+    Ctx.hit ctx S.connect;
     set ctx g Field.g_connections (get ctx g Field.g_connections + 1);
     reply (Bytes.of_string (cfg.banner ^ "\r\n"))
   in
@@ -68,15 +103,15 @@ let hooks cfg =
     in
     match cmd with
     | "USER" ->
-      if Ctx.branch ctx (site "USER:empty") (arg = "") then r 501 "missing user name"
+      if Ctx.branch ctx S.user_empty (arg = "") then r 501 "missing user name"
       else begin
         set ctx conn Field.auth 1;
-        if Ctx.branch ctx (site "USER:anon") (Proto_util.upper arg = "ANONYMOUS") then
+        if Ctx.branch ctx S.user_anon (Proto_util.upper arg = "ANONYMOUS") then
           r 331 "anonymous login ok, send email as password"
         else r 331 "password required"
       end
     | "PASS" ->
-      if Ctx.branch ctx (site "PASS:order") (get ctx conn Field.auth <> 1) then
+      if Ctx.branch ctx S.pass_order (get ctx conn Field.auth <> 1) then
         r 503 "login with USER first"
       else begin
         set ctx conn Field.auth 2;
@@ -88,32 +123,32 @@ let hooks cfg =
     | "HELP" -> r 214 "commands recognized"
     | "FEAT" -> r 211 "features: MDTM REST SIZE"
     | "TYPE" ->
-      if Ctx.branch ctx (site "TYPE:I") (Proto_util.upper arg = "I") then begin
+      if Ctx.branch ctx S.type_i (Proto_util.upper arg = "I") then begin
         set ctx conn Field.ty 1;
         r 200 "type set to I"
       end
-      else if Ctx.branch ctx (site "TYPE:A") (Proto_util.upper arg = "A") then begin
+      else if Ctx.branch ctx S.type_a (Proto_util.upper arg = "A") then begin
         set ctx conn Field.ty 0;
         r 200 "type set to A"
       end
       else r 504 "unsupported type"
     | "PWD" ->
-      Ctx.hit ctx (site "PWD");
+      Ctx.hit ctx S.pwd;
       r 257 (Printf.sprintf "\"/depth%d\" is current directory" (get ctx conn Field.cwd_depth))
     | "CWD" ->
-      if Ctx.branch ctx (site "CWD:up") (arg = "..") then begin
+      if Ctx.branch ctx S.cwd_up (arg = "..") then begin
         let d = get ctx conn Field.cwd_depth in
-        if Ctx.branch ctx (site "CWD:root") (d = 0) then r 550 "already at root"
+        if Ctx.branch ctx S.cwd_root (d = 0) then r 550 "already at root"
         else begin
           set ctx conn Field.cwd_depth (d - 1);
           r 250 "directory changed"
         end
       end
-      else if Ctx.branch ctx (site "CWD:abs") (String.length arg > 0 && arg.[0] = '/') then begin
+      else if Ctx.branch ctx S.cwd_abs (String.length arg > 0 && arg.[0] = '/') then begin
         set ctx conn Field.cwd_depth 0;
         r 250 "directory changed to root"
       end
-      else if Ctx.branch ctx (site "CWD:deep") (get ctx conn Field.cwd_depth >= 7) then
+      else if Ctx.branch ctx S.cwd_deep (get ctx conn Field.cwd_depth >= 7) then
         r 550 "directory nesting too deep"
       else begin
         set ctx conn Field.cwd_depth (get ctx conn Field.cwd_depth + 1);
@@ -121,15 +156,15 @@ let hooks cfg =
       end
     | "CDUP" ->
       let d = get ctx conn Field.cwd_depth in
-      if Ctx.branch ctx (site "CDUP:root") (d = 0) then r 550 "already at root"
+      if Ctx.branch ctx S.cdup_root (d = 0) then r 550 "already at root"
       else begin
         set ctx conn Field.cwd_depth (d - 1);
         r 200 "ok"
       end
     | "MKD" | "RMD" | "DELE" ->
-      if Ctx.branch ctx (site (cmd ^ ":noarg")) (arg = "") then r 501 "missing path"
-      else if Ctx.branch ctx (site (cmd ^ ":dotdot")) (String.length arg >= 2
-                                                       && String.sub arg 0 2 = "..")
+      if Ctx.branch ctx (List.assoc cmd S.noarg) (arg = "") then r 501 "missing path"
+      else if Ctx.branch ctx (List.assoc cmd S.dotdot) (String.length arg >= 2
+                                                        && String.sub arg 0 2 = "..")
       then r 550 "permission denied"
       else r 250 (cmd ^ " ok")
     | "PASV" ->
@@ -138,25 +173,25 @@ let hooks cfg =
     | "PORT" -> (
       match String.split_on_char ',' arg with
       | [ _; _; _; _; _; _ ] ->
-        Ctx.hit ctx (site "PORT:ok");
+        Ctx.hit ctx S.port_ok;
         set ctx conn Field.passive 0;
         r 200 "port command successful"
       | _ ->
-        Ctx.hit ctx (site "PORT:bad");
+        Ctx.hit ctx S.port_bad;
         r 501 "illegal port command")
     | "LIST" | "NLST" ->
-      if Ctx.branch ctx (site (cmd ^ ":nodata")) (get ctx conn Field.passive = 0) then
+      if Ctx.branch ctx (List.assoc cmd S.nodata) (get ctx conn Field.passive = 0) then
         r 425 "use PASV first"
       else r 226 "transfer complete"
     | "RETR" ->
-      if Ctx.branch ctx (site "RETR:noarg") (arg = "") then r 501 "missing file"
-      else if Ctx.branch ctx (site "RETR:exists")
+      if Ctx.branch ctx S.retr_noarg (arg = "") then r 501 "missing file"
+      else if Ctx.branch ctx S.retr_exists
                 (Hashtbl.hash arg = get ctx g Field.g_stored_hash
                  && get ctx g Field.g_stored_count > 0)
       then r 226 "transfer complete"
       else r 550 "no such file"
     | "STOR" | "APPE" ->
-      if Ctx.branch ctx (site "STOR:noarg") (arg = "") then r 501 "missing file"
+      if Ctx.branch ctx S.stor_noarg (arg = "") then r 501 "missing file"
       else begin
         set ctx g Field.g_stored_count (get ctx g Field.g_stored_count + 1);
         set ctx g Field.g_stored_hash (Hashtbl.hash arg);
@@ -166,7 +201,7 @@ let hooks cfg =
       set ctx conn Field.rnfr_pending 1;
       r 350 "ready for RNTO"
     | "RNTO" ->
-      if Ctx.branch ctx (site "RNTO:order") (get ctx conn Field.rnfr_pending = 0) then
+      if Ctx.branch ctx S.rnto_order (get ctx conn Field.rnfr_pending = 0) then
         r 503 "RNFR required first"
       else begin
         set ctx conn Field.rnfr_pending 0;
@@ -175,19 +210,19 @@ let hooks cfg =
     | "REST" -> (
       match Proto_util.int_of_string_bounded ~max:1_000_000 arg with
       | Some off ->
-        Ctx.hit ctx (site "REST:ok");
+        Ctx.hit ctx S.rest_ok;
         set ctx conn Field.rest_offset off;
         r 350 "restarting at offset"
       | None ->
-        Ctx.hit ctx (site "REST:bad");
+        Ctx.hit ctx S.rest_bad;
         r 501 "bad offset")
     | "SIZE" | "MDTM" | "STAT" ->
-      if Ctx.branch ctx (site (cmd ^ ":noarg")) (arg = "") then r 501 "missing argument"
+      if Ctx.branch ctx (List.assoc cmd S.noarg) (arg = "") then r 501 "missing argument"
       else r 213 "0"
     | "ABOR" -> r 226 "abort successful"
     | "SITE" -> r 500 "SITE not understood"
     | _ ->
-      Ctx.hit ctx (site "unknown");
+      Ctx.hit ctx S.unknown;
       r 500 "command not understood"
   in
   let on_packet ctx ~g ~conn ~reply data =
@@ -199,10 +234,10 @@ let hooks cfg =
         ( Proto_util.upper (String.sub line 0 i),
           String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
     in
-    Ctx.hit ctx (site "packet");
-    if Ctx.branch ctx (site "line:empty") (String.length line = 0) then
+    Ctx.hit ctx S.packet;
+    if Ctx.branch ctx S.line_empty (String.length line = 0) then
       reply_str reply 500 "empty command"
-    else if Ctx.branch ctx (site "line:long") (String.length line > 512) then
+    else if Ctx.branch ctx S.line_long (String.length line > 512) then
       reply_str reply 500 "line too long"
     else begin
       let handled =
@@ -212,19 +247,19 @@ let hooks cfg =
       in
       if not handled then begin
         if
-          Ctx.branch ctx (site "auth:gate")
+          Ctx.branch ctx S.auth_gate
             (cfg.require_auth && (not (pre_auth_ok cmd))
             && Guest_heap.get_i32 ctx.Ctx.heap (conn + Field.auth) <> 2)
         then reply_str reply 530 "please login with USER and PASS"
         else if not (List.mem cmd cfg.commands) then begin
-          Ctx.hit ctx (site "unsupported");
+          Ctx.hit ctx S.unsupported;
           reply_str reply 502 "command not implemented"
         end
         else handle_command ctx ~g ~conn ~reply cmd arg
       end
     end
   in
-  let on_disconnect ctx ~g:_ ~conn:_ = Ctx.hit ctx (site "disconnect") in
+  let on_disconnect ctx ~g:_ ~conn:_ = Ctx.hit ctx S.disconnect in
   {
     Target.global_state_size;
     conn_state_size;

@@ -1,7 +1,35 @@
 open Nyx_vm
 
 let name = "live555"
-let site s = name ^ "/" ^ s
+let site s = Ctx.site (name ^ "/" ^ s)
+
+(* Coverage sites, interned once at module load. *)
+module S = struct
+  let transport_rtp_avp = site "transport:rtp-avp"
+  let transport_unicast = site "transport:unicast"
+  let transport_interleaved = site "transport:interleaved"
+  let transport_other = site "transport:other"
+  let packet = site "packet"
+  let empty = site "empty"
+  let version = site "version"
+  let url_rtsp = site "url:rtsp"
+  let verb_options = site "verb:options"
+  let verb_describe = site "verb:describe"
+  let describe_sdp = site "describe:sdp"
+  let describe_other_accept = site "describe:other-accept"
+  let describe_no_accept = site "describe:no-accept"
+  let verb_setup = site "verb:setup"
+  let setup_undescribed = site "setup:undescribed"
+  let setup_no_transport = site "setup:no-transport"
+  let verb_play = site "verb:play"
+  let play_nosession = site "play:nosession"
+  let verb_pause = site "verb:pause"
+  let pause_notplaying = site "pause:notplaying"
+  let verb_teardown = site "verb:teardown"
+  let verb_parameter = site "verb:parameter"
+  let verb_unknown = site "verb:unknown"
+  let reqline_malformed = site "reqline:malformed"
+end
 
 (* Connection state offsets. *)
 let f_described = 0
@@ -25,14 +53,14 @@ let parse_transport ctx value =
   List.iter
     (fun p ->
       let p = String.trim p in
-      if Ctx.branch ctx (site "transport:rtp-avp") (Proto_util.starts_with_ci ~prefix:"RTP/AVP" p)
+      if Ctx.branch ctx S.transport_rtp_avp (Proto_util.starts_with_ci ~prefix:"RTP/AVP" p)
       then ()
-      else if Ctx.branch ctx (site "transport:unicast") (Proto_util.upper p = "UNICAST")
+      else if Ctx.branch ctx S.transport_unicast (Proto_util.upper p = "UNICAST")
       then ()
-      else if Ctx.branch ctx (site "transport:interleaved")
+      else if Ctx.branch ctx S.transport_interleaved
                 (Proto_util.starts_with_ci ~prefix:"interleaved" p)
       then ()
-      else Ctx.hit ctx (site "transport:other"))
+      else Ctx.hit ctx S.transport_other)
     parts;
   List.find_opt (fun p -> String.contains p '=') parts
 
@@ -46,37 +74,37 @@ let on_packet ctx ~g:_ ~conn ~reply data =
       (Bytes.of_string
          (Printf.sprintf "RTSP/1.0 %d %s\r\nCSeq: %s\r\n%s\r\n" code reason cseq extra))
   in
-  Ctx.hit ctx (site "packet");
+  Ctx.hit ctx S.packet;
   match String.split_on_char '\n' text |> List.map String.trim with
-  | [] | [ "" ] -> Ctx.hit ctx (site "empty")
+  | [] | [ "" ] -> Ctx.hit ctx S.empty
   | request_line :: _ -> (
     match Proto_util.tokens request_line with
     | [ verb; url; version ] -> (
       let verb = Proto_util.upper verb in
-      ignore (Ctx.branch ctx (site "version") (version = "RTSP/1.0"));
-      ignore (Ctx.branch ctx (site "url:rtsp") (Proto_util.starts_with_ci ~prefix:"rtsp://" url));
+      ignore (Ctx.branch ctx S.version (version = "RTSP/1.0"));
+      ignore (Ctx.branch ctx S.url_rtsp (Proto_util.starts_with_ci ~prefix:"rtsp://" url));
       match verb with
       | "OPTIONS" ->
-        Ctx.hit ctx (site "verb:options");
+        Ctx.hit ctx S.verb_options;
         r 200 "OK" "Public: OPTIONS, DESCRIBE, SETUP, PLAY, PAUSE, TEARDOWN\r\n"
       | "DESCRIBE" ->
-        Ctx.hit ctx (site "verb:describe");
+        Ctx.hit ctx S.verb_describe;
         (match get_header text "Accept" with
         | Some accept when Proto_util.starts_with_ci ~prefix:"application/sdp" accept ->
-          Ctx.hit ctx (site "describe:sdp")
-        | Some _ -> Ctx.hit ctx (site "describe:other-accept")
-        | None -> Ctx.hit ctx (site "describe:no-accept"));
+          Ctx.hit ctx S.describe_sdp
+        | Some _ -> Ctx.hit ctx S.describe_other_accept
+        | None -> Ctx.hit ctx S.describe_no_accept);
         Guest_heap.set_i32 heap (conn + f_described) 1;
         r 200 "OK" "Content-Type: application/sdp\r\nContent-Length: 0\r\n"
       | "SETUP" ->
-        Ctx.hit ctx (site "verb:setup");
-        if Ctx.branch ctx (site "setup:undescribed")
+        Ctx.hit ctx S.verb_setup;
+        if Ctx.branch ctx S.setup_undescribed
              (Guest_heap.get_i32 heap (conn + f_described) = 0)
         then r 455 "Method Not Valid in This State" ""
         else begin
           match get_header text "Transport" with
           | None ->
-            Ctx.hit ctx (site "setup:no-transport");
+            Ctx.hit ctx S.setup_no_transport;
             r 461 "Unsupported Transport" ""
           | Some value -> (
             match parse_transport ctx value with
@@ -90,8 +118,8 @@ let on_packet ctx ~g:_ ~conn ~reply data =
               r 200 "OK" "Session: 00000007\r\nTransport: RTP/AVP;unicast\r\n")
         end
       | "PLAY" ->
-        Ctx.hit ctx (site "verb:play");
-        if Ctx.branch ctx (site "play:nosession")
+        Ctx.hit ctx S.verb_play;
+        if Ctx.branch ctx S.play_nosession
              (Guest_heap.get_i32 heap (conn + f_session) = 0)
         then r 454 "Session Not Found" ""
         else begin
@@ -99,24 +127,24 @@ let on_packet ctx ~g:_ ~conn ~reply data =
           r 200 "OK" "Range: npt=0.000-\r\n"
         end
       | "PAUSE" ->
-        Ctx.hit ctx (site "verb:pause");
-        if Ctx.branch ctx (site "pause:notplaying")
+        Ctx.hit ctx S.verb_pause;
+        if Ctx.branch ctx S.pause_notplaying
              (Guest_heap.get_i32 heap (conn + f_playing) = 0)
         then r 455 "Method Not Valid in This State" ""
         else r 200 "OK" ""
       | "TEARDOWN" ->
-        Ctx.hit ctx (site "verb:teardown");
+        Ctx.hit ctx S.verb_teardown;
         Guest_heap.set_i32 heap (conn + f_session) 0;
         Guest_heap.set_i32 heap (conn + f_playing) 0;
         r 200 "OK" ""
       | "GET_PARAMETER" | "SET_PARAMETER" ->
-        Ctx.hit ctx (site "verb:parameter");
+        Ctx.hit ctx S.verb_parameter;
         r 200 "OK" ""
       | _ ->
-        Ctx.hit ctx (site "verb:unknown");
+        Ctx.hit ctx S.verb_unknown;
         r 501 "Not Implemented" "")
     | _ ->
-      Ctx.hit ctx (site "reqline:malformed");
+      Ctx.hit ctx S.reqline_malformed;
       r 400 "Bad Request" "")
 
 let target =

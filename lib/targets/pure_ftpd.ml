@@ -1,13 +1,14 @@
 open Nyx_vm
 
 let quota_limit = 20
+let quota_site = Ctx.site "pure-ftpd/quota"
 
 let quota_check (a : Ftp_common.special_args) =
   let { Ftp_common.ctx; g; cmd; _ } = a in
   (* Observe, never handle: the generic STOR handler still runs. *)
   if cmd = "STOR" || cmd = "APPE" then begin
     let stored = Guest_heap.get_i32 ctx.Ctx.heap (g + Ftp_common.Field.g_stored_count) in
-    if Ctx.branch ctx "pure-ftpd/quota" (stored >= quota_limit) then
+    if Ctx.branch ctx quota_site (stored >= quota_limit) then
       Ctx.crash ctx ~kind:"oom-internal"
         (Printf.sprintf "upload quota bookkeeping exhausted after %d files" stored)
   end;

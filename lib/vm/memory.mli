@@ -1,7 +1,9 @@
 (** Sparse guest-physical memory.
 
     Pages are materialized on first write; unmaterialized pages read as
-    zeroes. Every write marks the touched pages in the {!Dirty_log}, which
+    zeroes. A two-level table indexed by page frame number finds a page
+    in two array loads; its leaves of 64 page slots are allocated when
+    the first page in their range materializes. Every write marks the touched pages in the {!Dirty_log}, which
     is what the snapshot engines consume. Reads and writes are cost-free at
     this layer — costs are charged by the callers that model an actual
     mechanism (guest heap accessors, snapshot engines). *)
@@ -32,16 +34,18 @@ val write_i32 : t -> int -> int -> unit
 val read_i64 : t -> int -> int
 val write_i64 : t -> int -> int -> unit
 (** Little-endian fixed-width accessors ([i64] uses OCaml's 63-bit int).
-    Accesses contained in a single page take a non-allocating fast path;
-    page-straddling accesses fall back to {!read}/{!write} with identical
-    semantics (zero-fill reads, per-page dirty marking, {!Fault}s). *)
+    None of them allocates, except to materialize a page on its first
+    write. A page-straddling access has {!read}/{!write}'s semantics:
+    zero-fill reads, per-page dirty marking in address order, and a
+    {!Fault} before any byte is written. *)
 
 val clear_dirty : t -> unit
 
 (** {1 Snapshot-engine interface}
 
     These bypass dirty tracking: they implement snapshot create/restore
-    rather than guest execution. *)
+    rather than guest execution. Each checks its pfn.
+    @raise Invalid_argument on a pfn outside [\[0, num_pages)]. *)
 
 val page_content : t -> int -> bytes option
 (** [None] when the page was never materialized (all zero). The returned
@@ -54,6 +58,7 @@ val drop_page : t -> int -> unit
 (** Return a page to the pristine zero state without marking it dirty. *)
 
 val materialized : t -> (int * bytes) Seq.t
-(** All materialized pages (live references; do not mutate). *)
+(** All materialized pages (live references; do not mutate), found by
+    visiting only the allocated leaves. No order is promised. *)
 
 val materialized_count : t -> int

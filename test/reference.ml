@@ -96,6 +96,208 @@ let repair ?rng (t : Program.t) =
     in
     { repaired with ops }
 
+(* [Nyx_vm.Memory] with its earlier page table, a [Hashtbl] from pfn to
+   page. The scalar accessors' straddling path goes through [read]/
+   [write] and allocates. [set_page]/[drop_page]/[page_content] take any
+   pfn. *)
+module Memory = struct
+  open Nyx_vm
+
+  type t = {
+    pages : (int, Bytes.t) Hashtbl.t;
+    num_pages : int;
+    dirty : Dirty_log.t;
+  }
+
+  exception Fault of { addr : int; size : int }
+
+  let create ~num_pages =
+    { pages = Hashtbl.create 256; num_pages; dirty = Dirty_log.create ~num_pages }
+
+  let num_pages t = t.num_pages
+  let size_bytes t = t.num_pages * Page.size
+  let dirty t = t.dirty
+
+  let check t addr len =
+    if addr < 0 || len < 0 || addr + len > size_bytes t then
+      raise (Fault { addr; size = len })
+
+  let materialize t pfn =
+    match Hashtbl.find_opt t.pages pfn with
+    | Some p -> p
+    | None ->
+      let p = Page.zero () in
+      Hashtbl.replace t.pages pfn p;
+      p
+
+  let read t addr len =
+    check t addr len;
+    let out = Bytes.create len in
+    let pos = ref 0 in
+    while !pos < len do
+      let a = addr + !pos in
+      let pfn = Page.number a and off = Page.offset a in
+      let chunk = min (len - !pos) (Page.size - off) in
+      (match Hashtbl.find_opt t.pages pfn with
+      | Some p -> Bytes.blit p off out !pos chunk
+      | None -> Bytes.fill out !pos chunk '\000');
+      pos := !pos + chunk
+    done;
+    out
+
+  let write t addr data =
+    let len = Bytes.length data in
+    check t addr len;
+    let pos = ref 0 in
+    while !pos < len do
+      let a = addr + !pos in
+      let pfn = Page.number a and off = Page.offset a in
+      let chunk = min (len - !pos) (Page.size - off) in
+      let p = materialize t pfn in
+      Bytes.blit data !pos p off chunk;
+      ignore (Dirty_log.mark t.dirty pfn);
+      pos := !pos + chunk
+    done
+
+  (* Scalar accessors: the interpreter, guest heap and targets hammer these
+     on every emulated instruction, so accesses that stay inside one page
+     take a non-allocating fast path (direct page lookup, little-endian
+     Bytes accessors, one dirty mark). Only page-straddling accesses fall
+     back to the generic multi-page read/write loop. *)
+
+  let single_page addr len = Page.offset addr + len <= Page.size
+
+  let read_u8 t addr =
+    check t addr 1;
+    match Hashtbl.find_opt t.pages (Page.number addr) with
+    | Some p -> Char.code (Bytes.get p (Page.offset addr))
+    | None -> 0
+
+  let write_u8 t addr v =
+    check t addr 1;
+    let pfn = Page.number addr in
+    let p = materialize t pfn in
+    Bytes.set p (Page.offset addr) (Char.chr (v land 0xff));
+    ignore (Dirty_log.mark t.dirty pfn)
+
+  let read_u16 t addr =
+    if single_page addr 2 then begin
+      check t addr 2;
+      match Hashtbl.find_opt t.pages (Page.number addr) with
+      | Some p -> Bytes.get_uint16_le p (Page.offset addr)
+      | None -> 0
+    end
+    else begin
+      let b = read t addr 2 in
+      Char.code (Bytes.get b 0) lor (Char.code (Bytes.get b 1) lsl 8)
+    end
+
+  let write_u16 t addr v =
+    if single_page addr 2 then begin
+      check t addr 2;
+      let pfn = Page.number addr in
+      let p = materialize t pfn in
+      Bytes.set_uint16_le p (Page.offset addr) (v land 0xffff);
+      ignore (Dirty_log.mark t.dirty pfn)
+    end
+    else begin
+      let b = Bytes.create 2 in
+      Bytes.set b 0 (Char.chr (v land 0xff));
+      Bytes.set b 1 (Char.chr ((v lsr 8) land 0xff));
+      write t addr b
+    end
+
+  let read_i32 t addr =
+    if single_page addr 4 then begin
+      check t addr 4;
+      match Hashtbl.find_opt t.pages (Page.number addr) with
+      | Some p -> Int32.to_int (Bytes.get_int32_le p (Page.offset addr))
+      | None -> 0
+    end
+    else begin
+      let b = read t addr 4 in
+      let v = ref 0 in
+      for i = 3 downto 0 do
+        v := (!v lsl 8) lor Char.code (Bytes.get b i)
+      done;
+      (* Sign-extend from 32 bits. *)
+      (!v lsl (Sys.int_size - 32)) asr (Sys.int_size - 32)
+    end
+
+  let write_i32 t addr v =
+    if single_page addr 4 then begin
+      check t addr 4;
+      let pfn = Page.number addr in
+      let p = materialize t pfn in
+      Bytes.set_int32_le p (Page.offset addr) (Int32.of_int v);
+      ignore (Dirty_log.mark t.dirty pfn)
+    end
+    else begin
+      let b = Bytes.create 4 in
+      for i = 0 to 3 do
+        Bytes.set b i (Char.chr ((v lsr (8 * i)) land 0xff))
+      done;
+      write t addr b
+    end
+
+  let read_i64 t addr =
+    if single_page addr 8 then begin
+      check t addr 8;
+      match Hashtbl.find_opt t.pages (Page.number addr) with
+      | Some p -> Int64.to_int (Bytes.get_int64_le p (Page.offset addr))
+      | None -> 0
+    end
+    else begin
+      let b = read t addr 8 in
+      let v = ref 0L in
+      for i = 7 downto 0 do
+        v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (Bytes.get b i)))
+      done;
+      Int64.to_int !v
+    end
+
+  let write_i64 t addr v =
+    if single_page addr 8 then begin
+      check t addr 8;
+      let pfn = Page.number addr in
+      let p = materialize t pfn in
+      Bytes.set_int64_le p (Page.offset addr) (Int64.of_int v);
+      ignore (Dirty_log.mark t.dirty pfn)
+    end
+    else begin
+      let b = Bytes.create 8 in
+      let v64 = Int64.of_int v in
+      for i = 0 to 7 do
+        let byte =
+          Int64.to_int (Int64.logand (Int64.shift_right_logical v64 (8 * i)) 0xFFL)
+        in
+        Bytes.set b i (Char.chr byte)
+      done;
+      write t addr b
+    end
+
+  let clear_dirty t = Dirty_log.clear t.dirty
+
+  let page_content t pfn =
+    match Hashtbl.find_opt t.pages pfn with
+    | Some p -> Some (Bytes.copy p)
+    | None -> None
+
+  let set_page t pfn content =
+    if Bytes.length content <> Page.size then
+      invalid_arg "Memory.set_page: wrong page size";
+    match Hashtbl.find_opt t.pages pfn with
+    | Some p -> Bytes.blit content 0 p 0 Page.size
+    | None -> Hashtbl.replace t.pages pfn (Bytes.copy content)
+
+  let drop_page t pfn = Hashtbl.remove t.pages pfn
+
+  let materialized t =
+    Hashtbl.to_seq t.pages
+
+  let materialized_count t = Hashtbl.length t.pages
+end
+
 (* A mirror of [Nyx_netemu.Net]'s private representation, field for
    field, so the reference [poll] and [responses] below can work on the
    socket and fd tables. [mirror_ok] cross-checks the mirror against

@@ -30,9 +30,9 @@ type case = {
 let cases =
   [
     { c_name = "lightftp balanced+havoc"; target = "lightftp"; budget_ns = 4_000_000_000;
-      words_per_exec = 1978.4 };
+      words_per_exec = 1467.1 };
     { c_name = "echo balanced+havoc"; target = "echo"; budget_ns = 4_000_000_000;
-      words_per_exec = 1892.8 };
+      words_per_exec = 1151.4 };
   ]
 
 let headroom = 1.10
@@ -95,10 +95,81 @@ let test_rng_draws_unboxed () =
     (Printf.sprintf "3000 draws allocate nothing (%.0f words, sink %d)" words !sink)
     true (words <= 8.0)
 
+(* Minor words [f ()] allocates, less what an empty window reads: the
+   boxed floats [Gc.minor_words] returns. *)
+let words_of f =
+  let window g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  window f -. window ignore
+
+(* Guest memory accesses of every width, inside one page and straddling
+   two, on materialized and never-written pages: 1,000 of each allocate
+   nothing. The first write to a page materializes it, so each page is
+   written once before the window. *)
+let test_memory_accessors_unboxed () =
+  let open Nyx_vm in
+  let m = Memory.create ~num_pages:64 in
+  let straddle = (3 * Page.size) - 3 in
+  List.iter (fun addr -> Memory.write_u8 m addr 1) [ 100; straddle; straddle + 7 ];
+  let sink = ref 0 in
+  let reads addr () =
+    for i = 1 to 1000 do
+      sink :=
+        !sink + Memory.read_u8 m addr + Memory.read_u16 m addr + Memory.read_i32 m addr
+        + Memory.read_i64 m addr + i
+    done
+  in
+  let writes addr () =
+    for i = 1 to 1000 do
+      Memory.write_u8 m addr i;
+      Memory.write_u16 m addr i;
+      Memory.write_i32 m addr (-i);
+      Memory.write_i64 m addr (i * 0x1_0000_0001)
+    done
+  in
+  List.iter
+    (fun (what, f) ->
+      let words = words_of f in
+      Alcotest.(check (float 0.0)) (what ^ " allocate nothing") 0.0 words)
+    [
+      ("single-page reads", reads 100);
+      ("straddling reads", reads straddle);
+      ("reads of a never-written page", reads (40 * Page.size));
+      ("single-page writes", writes 100);
+      ("straddling writes", writes straddle);
+    ];
+  ignore (Sys.opaque_identity !sink)
+
+(* Recording an edge at an interned coverage site builds no string and
+   hashes none: 1,000 hits and 1,000 branches allocate nothing. *)
+let test_site_hits_unboxed () =
+  let open Nyx_targets in
+  let clock = Nyx_sim.Clock.create () in
+  let vm = Nyx_vm.Vm.create clock in
+  let ctx = Ctx.of_vm ~net:(Nyx_netemu.Net.create clock) vm in
+  let site = Ctx.site "alloc/site" in
+  let edges () =
+    for i = 1 to 1000 do
+      Ctx.hit ctx site;
+      ignore (Ctx.branch ctx site (i land 1 = 0))
+    done
+  in
+  edges ();
+  Alcotest.(check (float 0.0)) "hits and branches allocate nothing" 0.0 (words_of edges)
+
 let () =
   Alcotest.run "nyx_alloc"
     [
       ( "budget",
         List.map (fun c -> Alcotest.test_case c.c_name `Quick (test_case c)) cases );
       ("rng", [ Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_unboxed ]);
+      ( "hot path",
+        [
+          Alcotest.test_case "memory accessors allocate nothing" `Quick
+            test_memory_accessors_unboxed;
+          Alcotest.test_case "site hits allocate nothing" `Quick test_site_hits_unboxed;
+        ] );
     ]

@@ -287,40 +287,52 @@ module Mirror = Reference.Net_mirror
 let script_gen =
   QCheck.Gen.(list_size (int_range 1 60) (triple (int_bound 15) small_nat small_nat))
 
+(* Pools of the fds and flows a script's calls have returned so far. *)
+type pools = { mutable fds : Net.fd list; mutable flows : Net.flow list }
+
+(* Step [(k, i, j)]: hooked call or peer action [k] on the [i]th pooled
+   fd or flow, with port, protocol and payload drawn from [j]. The fd and
+   flow are picked once, so the step can run on several stacks. *)
+let act pools (k, i, j) =
+  let pick l = match l with [] -> -1 | _ -> List.nth l (i mod List.length l) in
+  let fd = pick pools.fds and fl = pick pools.flows in
+  let add_fd v = if not (List.mem v pools.fds) then pools.fds <- pools.fds @ [ v ] in
+  let add_flow v = if not (List.mem v pools.flows) then pools.flows <- pools.flows @ [ v ] in
+  let port = 1 + (j mod 3) in
+  let payload = Bytes.make (j mod 5) 'x' in
+  fun n ->
+  match k with
+  | 0 -> add_fd (Net.socket n (if j mod 2 = 0 then Net.Tcp else Net.Udp))
+  | 1 -> Net.bind n fd port
+  | 2 -> Net.listen n fd
+  | 3 -> Option.iter add_flow (Net.connect_peer n ~port)
+  | 4 -> Net.send_peer n fl payload
+  | 5 ->
+    Option.iter add_flow
+      (Net.udp_send_peer n ~port ?flow:(if j mod 2 = 0 then None else Some fl) payload)
+  | 6 -> add_fd (Net.accept n fd)
+  | 7 -> add_fd (Net.dup n fd)
+  | 8 -> ignore (Net.fork n)
+  | 9 -> Net.close n fd
+  | 10 -> Net.shutdown n fd (if j mod 2 = 0 then `Read else `Write)
+  | 11 -> Net.close_peer n fl
+  | 12 -> ignore (Net.recvfrom n fd ~max:(1 + (j mod 4)))
+  | 13 -> ignore (Net.send n fd payload)
+  | 14 -> ignore (Net.sendto n fd fl payload)
+  | _ -> ignore (Net.responses n fl)
+
 let run_script script =
   let a, _ = mk () and b, _ = mk () in
-  let fds = ref [] and flows = ref [] in
-  let pick l i = match l with [] -> -1 | _ -> List.nth l (i mod List.length l) in
-  let add r v = if not (List.mem v !r) then r := !r @ [ v ] in
+  let pools = { fds = []; flows = [] } in
   let on_both f =
     let ra = try Some (f a) with _ -> None in
     let rb = try Some (f b) with _ -> None in
     ra = rb
   in
-  let step (k, i, j) =
-    let fd = pick !fds i and fl = pick !flows i in
-    let port = 1 + (j mod 3) in
-    let payload = Bytes.make (j mod 5) 'x' in
-    match k with
-    | 0 -> on_both (fun n -> add fds (Net.socket n (if j mod 2 = 0 then Net.Tcp else Net.Udp)))
-    | 1 -> on_both (fun n -> Net.bind n fd port)
-    | 2 -> on_both (fun n -> Net.listen n fd)
-    | 3 -> on_both (fun n -> Option.iter (add flows) (Net.connect_peer n ~port))
-    | 4 -> on_both (fun n -> Net.send_peer n fl payload)
-    | 5 ->
-      on_both (fun n ->
-          Option.iter (add flows)
-            (Net.udp_send_peer n ~port ?flow:(if j mod 2 = 0 then None else Some fl) payload))
-    | 6 -> on_both (fun n -> add fds (Net.accept n fd))
-    | 7 -> on_both (fun n -> add fds (Net.dup n fd))
-    | 8 -> on_both (fun n -> ignore (Net.fork n))
-    | 9 -> on_both (fun n -> Net.close n fd)
-    | 10 -> on_both (fun n -> Net.shutdown n fd (if j mod 2 = 0 then `Read else `Write))
-    | 11 -> on_both (fun n -> Net.close_peer n fl)
-    | 12 -> on_both (fun n -> ignore (Net.recvfrom n fd ~max:(1 + (j mod 4))))
-    | 13 -> on_both (fun n -> ignore (Net.send n fd payload))
-    | 14 -> on_both (fun n -> ignore (Net.sendto n fd fl payload))
-    | _ ->
+  let step ((k, i, _) as s) =
+    if k < 15 then on_both (act pools s)
+    else
+      let fl = match pools.flows with [] -> -1 | l -> List.nth l (i mod List.length l) in
       let got = try Some (Net.responses a fl) with _ -> None in
       let expected = try Some (Mirror.responses b fl) with _ -> None in
       got = expected
@@ -339,6 +351,57 @@ let run_script script =
 let prop_poll_responses_match_reference =
   QCheck.Test.make ~name:"poll and responses == reference on random tables" ~count:500
     (QCheck.make script_gen) run_script
+
+(* Snapshot restores rewrite the live state in place from a template of
+   the capture. Capture after a random script, keep running, restore: the
+   kernel image must equal the capture, over three rounds, so that the
+   later loads reuse the template. From the second round on, every byte
+   the guest receives or drains is overwritten before the script runs
+   again: the restored state must not share bytes with the template.
+   [grow] opens 40 sockets and closes 30 of them, before the capture
+   (the template's tables keep more buckets than their bindings need, so
+   every load takes the Marshal fallback) or after it (the live tables
+   outgrow the template's). *)
+let open_many net =
+  let fds = List.init 40 (fun _ -> Net.socket net Net.Tcp) in
+  List.iteri (fun i fd -> if i < 30 then Net.close net fd) fds
+
+let socks_buckets net =
+  (Hashtbl.stats (Mirror.view net).Mirror.st.Mirror.socks).Hashtbl.num_buckets
+
+let scribble pools net =
+  let overwrite d = Bytes.fill d 0 (Bytes.length d) 'Z' in
+  List.iter (fun fd -> try overwrite (Net.recv net fd ~max:64) with _ -> ()) pools.fds;
+  List.iter (fun fl -> try List.iter overwrite (Net.responses net fl) with _ -> ()) pools.flows
+
+let restore_rounds (prefix, suffix, grow) =
+  let clock = Nyx_sim.Clock.create () in
+  let net = Net.create clock in
+  let aux = Nyx_snapshot.Aux_state.create () in
+  Net.register_aux net aux;
+  let pools = { fds = []; flows = [] } in
+  let run script = List.iter (fun s -> try act pools s net with _ -> ()) script in
+  run prefix;
+  if grow = 1 then open_many net;
+  let cap = Nyx_snapshot.Aux_state.capture aux clock in
+  let image = Mirror.image net in
+  (grow <> 1 || socks_buckets net > 16)
+  && List.for_all
+       (fun round ->
+         if round > 0 then scribble pools net;
+         run suffix;
+         if grow = 2 then open_many net;
+         (grow <> 2 || socks_buckets net > 16)
+         && begin
+              Nyx_snapshot.Aux_state.restore aux clock cap;
+              Bytes.equal (Mirror.image net) image
+            end)
+       [ 0; 1; 2 ]
+
+let prop_restore_reproduces_capture =
+  QCheck.Test.make ~name:"in-place restore reproduces the captured image" ~count:300
+    (QCheck.make QCheck.Gen.(triple script_gen script_gen (int_bound 2)))
+    restore_rounds
 
 let () =
   Alcotest.run "nyx_netemu"
@@ -380,5 +443,6 @@ let () =
           Alcotest.test_case "backend costs" `Quick test_costs_differ_by_backend;
           Alcotest.test_case "snapshot roundtrip" `Quick test_snapshot_roundtrip;
           QCheck_alcotest.to_alcotest prop_poll_responses_match_reference;
+          QCheck_alcotest.to_alcotest prop_restore_reproduces_capture;
         ] );
     ]

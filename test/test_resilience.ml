@@ -889,6 +889,40 @@ let test_corruption_sweep_campaign () =
       check_bool "intact checkpoint loads" false (rejected data);
       sweep ~what:"campaign checkpoint" ~rejected data)
 
+(* Engine pfns the page table cannot hold, in files whose CRC is valid
+   (encode frames them afresh): each must fail [load] with an [Error]
+   rather than raise, or index out of bounds, when the resume applies it. *)
+let test_rejects_out_of_range_pfns () =
+  let inst = Campaign.start long_config (echo_entry ()) in
+  Campaign.step inst ~until_ns:500_000_000;
+  let ck = Campaign.checkpoint_now inst in
+  let pages = Nyx_vm.Vm.fuzz_config.Nyx_vm.Vm.mem_pages in
+  let with_engine mirror dirty =
+    let engine = { ck.Checkpoint.c_engine with p_mirror = mirror; p_dirty = dirty } in
+    { ck with Checkpoint.c_engine = engine }
+  in
+  with_file (fun path ->
+      let load t =
+        put path (Checkpoint.encode t);
+        Checkpoint.load path
+      in
+      check_bool "untouched checkpoint loads" true (Result.is_ok (load ck));
+      check_bool "in-range pfns load" true
+        (Result.is_ok (load (with_engine [ 0; pages - 1 ] [ pages - 1; 0 ])));
+      List.iter
+        (fun (what, mirror, dirty) ->
+          match load (with_engine mirror dirty) with
+          | Ok _ -> Alcotest.failf "%s: accepted" what
+          | Error m -> check_bool (what ^ ": " ^ m) true (contains m "engine")
+          | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+        [
+          ("mirror pfn = mem_pages", [ 1; pages ], []);
+          ("negative mirror pfn", [ -1 ], []);
+          ("dirty pfn = mem_pages", [], [ 3; pages ]);
+          ("negative dirty pfn", [], [ -7 ]);
+          ("duplicate dirty pfn", [], [ 4; 9; 4 ]);
+        ])
+
 let test_corruption_sweep_fleet () =
   let entry = echo_entry () in
   with_file (fun path ->
@@ -995,5 +1029,7 @@ let () =
             test_corruption_sweep_campaign;
           Alcotest.test_case "corruption sweep: fleet" `Quick
             test_corruption_sweep_fleet;
+          Alcotest.test_case "rejects out-of-range engine pfns" `Quick
+            test_rejects_out_of_range_pfns;
         ] );
     ]

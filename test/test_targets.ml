@@ -750,6 +750,56 @@ let test_registry_specs_and_seeds_lint_clean () =
     (List.length entries > 2);
   Alcotest.(check (list string)) "no unallowlisted findings" [] residue
 
+(* Coverage pin over the whole registry: each target's fixed-seed
+   campaign of 0.5 virtual s past its boot (default aggressive policy,
+   havoc engine, seed 7) must reach the recorded edge count and cumulative coverage map.
+   The values were recorded when coverage sites were still named by
+   strings hashed at every hit, so interning them must leave every cell
+   where it was, also for the targets no other gate runs. *)
+let coverage_pins =
+  [
+    ("bftpd", 41, "9d4495ce11aeb81424c0d5e6d4d7be5d");
+    ("dcmtk", 44, "d928531296cd0755414f3ba7dcd801c7");
+    ("dnsmasq", 66, "7a1e21111e46f4517041a978576097a1");
+    ("exim", 55, "2e127448e5246c925658e082198d95c4");
+    ("forked-daapd", 20, "121ab26d59bb21dbf759d7ff5cc78345");
+    ("kamailio", 77, "7b07b5c04b3488ac5f57ed3ac678a171");
+    ("lightftp", 51, "0d41028ee526d68497a8dab842f68160");
+    ("live555", 35, "c7d8cb5bda0fbc069cac791d9d9b7492");
+    ("openssh", 59, "5312d4b62cc43a22be02be4a4e596445");
+    ("openssl", 72, "35cfa40b858a182c73d7bbc4809bdc46");
+    ("proftpd", 45, "2f319bb3427325abb01c31c1f9841490");
+    ("pure-ftpd", 51, "e3b2d64234afa6ff85dad27f5b9f1643");
+    ("tinydtls", 36, "fdbcbfeed359ac3f0b1c18a2a405cf8c");
+    ("echo", 22, "8d86af5a770ea85a2bbbde9c27aa036e");
+    ("firefox-ipc", 37, "0624ce8cc9855d04a42c09a3ce834490");
+    ("mysql-client", 65, "fb635cba387dd44062dd4ae021ec843a");
+    ("lighttpd", 51, "d1847b9145f72ba8ecbeada085b6f7a8")
+  ]
+
+let coverage_of entry =
+  let open Nyx_core in
+  let info = entry.Registry.target.Target.info in
+  let cfg =
+    {
+      Campaign.default_config with
+      Campaign.budget_ns = info.Target.startup_ns + 500_000_000;
+      max_execs = max_int;
+      seed = 7;
+    }
+  in
+  let inst = Campaign.start cfg entry in
+  Campaign.step inst ~until_ns:cfg.Campaign.budget_ns;
+  let virgin = (Campaign.checkpoint_now inst).Checkpoint.c_virgin in
+  let r = Campaign.finalize inst in
+  ( info.Target.name,
+    r.Report.final_edges,
+    Digest.to_hex (Digest.bytes virgin) )
+
+let test_coverage_pinned () =
+  let got = List.map coverage_of (Registry.all ()) in
+  Alcotest.(check (list (triple string int string))) "edges and virgin digest" coverage_pins got
+
 (* Robustness: random garbage must yield a valid status, never an
    unexpected exception. *)
 
@@ -783,6 +833,7 @@ let () =
         [
           Alcotest.test_case "all boot" `Quick test_all_targets_boot;
           Alcotest.test_case "seeds clean" `Quick test_all_seeds_execute_cleanly;
+          Alcotest.test_case "coverage pinned" `Quick test_coverage_pinned;
         ] );
       ( "ftp",
         [

@@ -143,6 +143,132 @@ let prop_i32_fast_slow_agree =
       && Bytes.equal (Memory.read m1 addr 4) (Memory.read m2 addr 4)
       && Dirty_log.to_list (Memory.dirty m1) = Dirty_log.to_list (Memory.dirty m2))
 
+(* The direct-indexed page table against the Hashtbl-backed reference:
+   random scalar reads and writes of every width, byte-range reads and
+   writes, set_page/drop_page, page_content and clear_dirty, with
+   addresses clustered at page boundaries (so accesses straddle pages)
+   and at the end of memory (so some fault). Every result must agree,
+   and afterwards the contents, every page_content, the materialized set,
+   materialized_count and the dirty stack. *)
+module Ref_mem = Reference.Memory
+
+type mem_op =
+  | Read_n of int * int (* width, addr *)
+  | Write_n of int * int * int (* width, addr, value *)
+  | Read of int * int
+  | Write of int * string
+  | Set_page of int * char
+  | Drop_page of int
+  | Page_content of int
+  | Clear_dirty
+
+let ref_pages = 200 (* four page-table leaves, the last one partial *)
+
+let mem_op_gen =
+  let open QCheck.Gen in
+  let pfn = int_bound (ref_pages - 1) in
+  let addr =
+    let* p = int_bound ref_pages
+    and* off = oneof [ int_bound 8; int_range 500 511; int_bound 511 ] in
+    return ((p * Page.size) + off - 4)
+  in
+  let width = oneofl [ 1; 2; 4; 8 ] in
+  frequency
+    [
+      (4, map2 (fun w a -> Read_n (w, a)) width addr);
+      (6, map3 (fun w a v -> Write_n (w, a, v)) width addr int);
+      (1, map2 (fun a n -> Read (a, n)) addr (int_bound 600));
+      (2, map2 (fun a s -> Write (a, s)) addr (string_size (int_bound 40)));
+      (1, map2 (fun p c -> Set_page (p, c)) pfn printable);
+      (1, map (fun p -> Drop_page p) pfn);
+      (1, map (fun p -> Page_content p) pfn);
+      (1, return Clear_dirty);
+    ]
+
+(* One op's observable result, on either implementation. *)
+module Apply (M : sig
+  type t
+
+  val read : t -> int -> int -> bytes
+  val write : t -> int -> bytes -> unit
+  val read_u8 : t -> int -> int
+  val write_u8 : t -> int -> int -> unit
+  val read_u16 : t -> int -> int
+  val write_u16 : t -> int -> int -> unit
+  val read_i32 : t -> int -> int
+  val write_i32 : t -> int -> int -> unit
+  val read_i64 : t -> int -> int
+  val write_i64 : t -> int -> int -> unit
+  val set_page : t -> int -> bytes -> unit
+  val drop_page : t -> int -> unit
+  val page_content : t -> int -> bytes option
+  val clear_dirty : t -> unit
+end) =
+struct
+  let op m = function
+    | Read_n (1, a) -> string_of_int (M.read_u8 m a)
+    | Read_n (2, a) -> string_of_int (M.read_u16 m a)
+    | Read_n (4, a) -> string_of_int (M.read_i32 m a)
+    | Read_n (_, a) -> string_of_int (M.read_i64 m a)
+    | Write_n (1, a, v) -> M.write_u8 m a v; ""
+    | Write_n (2, a, v) -> M.write_u16 m a v; ""
+    | Write_n (4, a, v) -> M.write_i32 m a v; ""
+    | Write_n (_, a, v) -> M.write_i64 m a v; ""
+    | Read (a, n) -> Bytes.to_string (M.read m a n)
+    | Write (a, s) -> M.write m a (Bytes.of_string s); ""
+    | Set_page (p, c) -> M.set_page m p (Bytes.make Page.size c); ""
+    | Drop_page p -> M.drop_page m p; ""
+    | Page_content p -> Option.fold ~none:"-" ~some:Bytes.to_string (M.page_content m p)
+    | Clear_dirty -> M.clear_dirty m; ""
+end
+
+module Apply_mem = Apply (Memory)
+module Apply_ref = Apply (Ref_mem)
+
+(* domain-safe: qcheck property closure, run on a single domain *)
+let prop_memory_matches_reference =
+  QCheck.Test.make ~name:"page table == Hashtbl reference" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 80) mem_op_gen))
+    (fun ops ->
+      let m = Memory.create ~num_pages:ref_pages in
+      let r = Ref_mem.create ~num_pages:ref_pages in
+      let outcome f =
+        match f () with
+        | v -> Ok v
+        | exception Memory.Fault { addr; size } -> Error (addr, size)
+        | exception Ref_mem.Fault { addr; size } -> Error (addr, size)
+      in
+      let sorted pages =
+        List.sort compare (List.of_seq (Seq.map (fun (p, c) -> (p, Bytes.to_string c)) pages))
+      in
+      List.for_all
+        (fun op -> outcome (fun () -> Apply_mem.op m op) = outcome (fun () -> Apply_ref.op r op))
+        ops
+      && Bytes.equal
+           (Memory.read m 0 (ref_pages * Page.size))
+           (Ref_mem.read r 0 (ref_pages * Page.size))
+      && List.for_all
+           (fun p -> Memory.page_content m p = Ref_mem.page_content r p)
+           (List.init ref_pages Fun.id)
+      && sorted (Memory.materialized m) = sorted (Ref_mem.materialized r)
+      && Memory.materialized_count m = Ref_mem.materialized_count r
+      && Dirty_log.to_list (Memory.dirty m) = Dirty_log.to_list (Ref_mem.dirty r))
+
+let test_memory_engine_pfns_checked () =
+  let m = mk_mem () in
+  let rejects fn pfn call =
+    Alcotest.check_raises fn
+      (Invalid_argument (Printf.sprintf "Memory.%s: pfn %d out of range" fn pfn))
+      call
+  in
+  List.iter
+    (fun pfn ->
+      rejects "set_page" pfn (fun () -> Memory.set_page m pfn (Page.zero ()));
+      rejects "drop_page" pfn (fun () -> Memory.drop_page m pfn);
+      rejects "page_content" pfn (fun () -> ignore (Memory.page_content m pfn)))
+    [ -1; 64; max_int ];
+  check_int "nothing materialized" 0 (Memory.materialized_count m)
+
 let test_memory_snapshot_interface () =
   let m = mk_mem () in
   Memory.write m 0 (b "xyz");
@@ -367,6 +493,8 @@ let () =
           Alcotest.test_case "ints across pages" `Quick test_memory_ints_cross_page;
           Alcotest.test_case "scalar fast path" `Quick test_memory_scalar_fast_path;
           Alcotest.test_case "snapshot interface" `Quick test_memory_snapshot_interface;
+          Alcotest.test_case "engine pfns checked" `Quick test_memory_engine_pfns_checked;
+          QCheck_alcotest.to_alcotest prop_memory_matches_reference;
           QCheck_alcotest.to_alcotest prop_memory_write_read;
           QCheck_alcotest.to_alcotest prop_i32_fast_slow_agree;
           QCheck_alcotest.to_alcotest prop_dirty_tracks_written_pages;
