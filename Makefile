@@ -51,11 +51,10 @@ faultcheck:
 	dune exec bench/main.exe -- faultcheck
 
 # Static-vs-dynamic conformance gate (lib/analysis): for every registry
-# target, seeds plus deterministic mutants are probed densely and every
-# observed state boundary must be statically feasible; a sanitized
-# shadow-hash pass asserts no boundary escapes the static prior. Fails
-# on any violation; writes STATECHECK.json (residue = feasible-but-
-# unobserved indices is reported, not gated).
+# target, seeds plus deterministic mutants are probed and every observed
+# state boundary must be statically feasible. Fails on any violation;
+# writes STATECHECK.json (residue = feasible-but-unobserved indices is
+# reported, not gated).
 statecheck:
 	dune build @all
 	dune exec bench/main.exe -- statecheck

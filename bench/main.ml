@@ -1210,14 +1210,14 @@ let hotpath () =
       in
       splice_picks := !splice_picks + Array.length progs;
       (* Execution: reset, replay a touched-set of edges. *)
-      if slow then Cov.reset_slow cov else Cov.reset cov;
+      if slow then Reference.Coverage.reset_slow cov else Cov.reset cov;
       let touched = 32 + Nyx_sim.Rng.int rng 96 in
       for _ = 1 to touched do
         Cov.hit cov (Nyx_sim.Rng.int rng 4096)
       done;
       (* Triage: merge, count, grow the corpus on novelty. *)
       let novel =
-        if slow then Cov.Cumulative.merge_slow cumulative cov
+        if slow then Reference.Coverage.Cumulative.merge_slow cumulative cov
         else Cov.Cumulative.merge cumulative cov
       in
       edges :=
@@ -1270,7 +1270,7 @@ let hotpath () =
     let rng = Nyx_sim.Rng.create 5 in
     time (fun () ->
         touch cov rng;
-        if slow then Cov.reset_slow cov else Cov.reset cov)
+        if slow then Reference.Coverage.reset_slow cov else Cov.reset cov)
   in
   let merge_phase slow =
     let cov = Cov.create () in
@@ -1279,7 +1279,7 @@ let hotpath () =
     let cumulative = Cov.Cumulative.create () in
     time (fun () ->
         ignore
-          (if slow then Cov.Cumulative.merge_slow cumulative cov
+          (if slow then Reference.Coverage.Cumulative.merge_slow cumulative cov
            else Cov.Cumulative.merge cumulative cov);
         ignore
           (if slow then Cov.Cumulative.edge_count_slow cumulative
@@ -1537,7 +1537,8 @@ let faultcheck () =
 (* Static-vs-dynamic boundary conformance (make statecheck / CI): on
    every registry target, every dynamically observed protocol-state
    boundary must lie inside the static feasible set computed by
-   Nyx_analysis.Dataflow — the soundness claim the probe prior rests on.
+   Nyx_analysis.Dataflow — the soundness claim lint's snapshot
+   diagnostics rest on.
    Checked over the shipped seeds, deterministic mutants of them, and
    empty-payload variants that specifically exercise the statically-
    inert classification. The residue (feasible indices the probe never
@@ -1742,62 +1743,8 @@ let matrix_preamble title =
 
 let snap_policies = [ Policy.None_; Policy.Balanced; Policy.Aggressive; Policy.Dynamic ]
 
-(* Probe-cost ablation: rerun every seed's boundary probe with the static
-   feasibility prior (Nyx_analysis.Dataflow) off and on. The prior may
-   only skip hashes, never change the result — boundaries must match
-   exactly, and prior-on must hash strictly fewer indices (it always
-   skips at least the useless hash after the last packet). Returns
-   (target, programs probed, dense hashes, prior hashes) per target. *)
-let probe_prior_ablation names =
-  let nspec = Campaign.net_spec () in
-  List.map
-    (fun n ->
-      let entry = Option.get (Nyx_targets.Registry.find n) in
-      let udp =
-        entry.Nyx_targets.Registry.target.Nyx_targets.Target.info
-          .Nyx_targets.Target.proto = Nyx_netemu.Net.Udp
-      in
-      let seeds = Nyx_targets.Registry.seed_programs entry nspec in
-      let exec = Executor.create ~net_spec:nspec entry.Nyx_targets.Registry.target in
-      let dense = ref 0 and prior = ref 0 and probed = ref 0 in
-      List.iter
-        (fun p ->
-          let feasible = Nyx_analysis.Dataflow.feasible_boundaries ~udp p in
-          let b_off = Executor.state_boundaries exec p in
-          let h_off = Executor.last_probe_hashed exec in
-          let b_on = Executor.state_boundaries ~feasible exec p in
-          let h_on = Executor.last_probe_hashed exec in
-          if b_off <> b_on then
-            failwith
-              (Printf.sprintf
-                 "snapshot_matrix: static prior changed probe result on %s \
-                  ([%s] vs [%s])"
-                 n
-                 (String.concat ";" (List.map string_of_int b_off))
-                 (String.concat ";" (List.map string_of_int b_on)));
-          dense := !dense + h_off;
-          prior := !prior + h_on;
-          incr probed)
-        seeds;
-      (n, !probed, !dense, !prior))
-    names
-
 let snapshot_matrix () =
   matrix_preamble "Snapshot placement matrix: virtual time-to-coverage per policy";
-  let prior_rows = probe_prior_ablation long_session_targets in
-  let prior_wins = List.length (List.filter (fun (_, _, d, p) -> p < d) prior_rows) in
-  Printf.printf "  probe-cost ablation (state hashes across all seed probes):\n";
-  Printf.printf "  %-12s %6s %12s %12s %8s\n" "target" "seeds" "dense" "prior" "saved";
-  List.iter
-    (fun (n, probed, dense, prior) ->
-      Printf.printf "  %-12s %6d %12d %12d %7.1f%%\n" n probed dense prior
-        (if dense = 0 then 0.0
-         else 100.0 *. float_of_int (dense - prior) /. float_of_int dense))
-    prior_rows;
-  Printf.printf
-    "  prior hashes strictly fewer indices on %d/%d targets (boundaries \
-     identical)\n\n"
-    prior_wins (List.length prior_rows);
   let dynamic = Policy.name Policy.Dynamic in
   let row_json r =
     Printf.sprintf
@@ -1819,12 +1766,6 @@ let snapshot_matrix () =
                  \"execs\": %d%s}"
                 pol t c.Report.final_edges c.Report.execs placement)
             r.cells))
-  in
-  let prior_json (n, probed, dense, prior) =
-    Printf.sprintf
-      "    {\"target\": %S, \"programs\": %d, \"hashes_dense\": %d, \
-       \"hashes_prior\": %d, \"boundaries_identical\": true}"
-      n probed dense prior
   in
   gate_matrix ~name:"snapshot_matrix" ~claim:"dynamic beats the best static policy"
     ~arms:
@@ -1851,17 +1792,9 @@ let snapshot_matrix () =
           ("max_execs", string_of_int matrix_max_execs);
           ("seed", "7");
           ("targets", json_lines (List.map row_json rows));
-          ("probe_prior", json_lines (List.map prior_json prior_rows));
-          ("prior_strictly_fewer", string_of_int prior_wins);
           ("dynamic_wins", string_of_int wins);
           ("matrix_size", string_of_int (List.length rows));
-        ]);
-  if prior_wins * 2 < List.length prior_rows then
-    failwith
-      (Printf.sprintf
-         "snapshot_matrix: static prior hashed strictly fewer indices on only \
-          %d/%d targets (gate requires at least half)"
-         prior_wins (List.length prior_rows))
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Mutation-engine gate (make bench-mutation / CI): havoc vs typed,

@@ -24,10 +24,10 @@ open Nyx_spec
    write to *any* connection, so it re-taints every other value; its own
    connection is drained last in the handler ([Net.responses]). An empty
    TCP packet delivers nothing — the target never runs — so it only
-   drains its own connection. The feasible-boundary prior and the
-   NYX_SANITIZE conformance gate both consume this classification, so
-   soundness (never call an affecting op inert) is the invariant; missing
-   inert ops only costs probe hashes. *)
+   drains its own connection. Lint and the statecheck conformance gate
+   both consume this classification, so soundness (never call an
+   affecting op inert) is the invariant; missing inert ops only costs
+   lint precision. *)
 
 let inputs (nt : Spec.node_ty) = nt.Spec.borrows @ nt.Spec.consumes
 

@@ -5,15 +5,14 @@
     per-op classification of which ops can change the observable
     protocol state (the thing the dynamic boundary probe hashes), and
     from it the {e statically feasible} snapshot-boundary indices that
-    [Policy] consumes as a probe prior and the NYX_SANITIZE conformance
-    gate asserts against.
+    lint's snapshot diagnostics use and the statecheck conformance gate
+    checks the dynamic probe against.
 
     Soundness invariant: an op is classified inert only when the
     standard op handlers provably cannot touch hashed state — a TCP
     [packet] with an empty payload on an already-drained connection
     ([Net.send_peer] drops zero-length sends, so no target code runs).
-    Custom handlers are outside the model: callers must not apply the
-    prior when one is installed. *)
+    Custom handlers are outside the model. *)
 
 val affecting : ?udp:bool -> Nyx_spec.Program.t -> bool array
 (** Per-op classification over the snapshot-stripped program; [true]

@@ -72,11 +72,6 @@ type state = {
   mutable dict : bytes list;
   mutable max_ops : int;
   plan : Nyx_resilience.Plan.t option;  (* armed fault plan, if any *)
-  static_prior : bool;
-      (* feed the Dataflow boundary prior to probes; off when a custom
-         op handler is installed (its effects are outside the static
-         model, so inertness claims would be unsound) *)
-  prior_udp : bool;  (* target transport, for the inertness classification *)
   obs : Nyx_obs.Obs.t;  (* the executor's: one span nesting per campaign *)
   mutable span_vt0 : int;
       (* where the campaign span began; [finish] writes it, on whichever
@@ -397,23 +392,11 @@ let dynamic_prepare st (entry_sched : Corpus.entry) ~packets =
   | `Probe ->
     Nyx_obs.Obs.span st.obs Nyx_obs.Profile.Snapshot_place (fun () ->
         Nyx_obs.Obs.charge st.obs Nyx_obs.Profile.Snapshot_place (fun () ->
-            (* The static boundary prior is pure analysis — no clock
-               charge; the probe below hashes only at feasible indices. *)
-            let feasible =
-              if st.static_prior then
-                Some
-                  (Nyx_analysis.Dataflow.feasible_boundaries ~udp:st.prior_udp
-                     entry_sched.Corpus.program)
-              else None
-            in
             let boundaries =
-              Executor.state_boundaries ?feasible st.exec
-                entry_sched.Corpus.program
+              Executor.state_boundaries st.exec entry_sched.Corpus.program
             in
             Policy.set_boundaries st.policy ~input_id:entry_sched.Corpus.id
-              ~hashed:(Executor.last_probe_hashed st.exec)
-              ~skipped:(Executor.last_probe_skipped st.exec)
-              ~packets ~boundaries;
+              ~hashed:(Executor.last_probe_hashed st.exec) ~packets ~boundaries;
             (* The probe replayed the entry once end-to-end. *)
             st.execs <- st.execs + 1;
             if Nyx_obs.Trace.on () then
@@ -685,11 +668,6 @@ let create ~custom ~peer ~profile ~faults ~checkpoint ~collect_exports cfg entry
       dict = [];
       max_ops = 0;
       plan;
-      (* off for custom handlers AND peer mode: both give packets
-         semantics the static dataflow model cannot see *)
-      static_prior = custom = None && peer = None;
-      prior_udp =
-        entry.Registry.target.Target.info.Target.proto = Nyx_netemu.Net.Udp;
       obs = Executor.obs exec;
       span_vt0 = 0;
       ck = checkpoint;

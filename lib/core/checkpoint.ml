@@ -98,7 +98,22 @@ let crash =
   @@ field (fun c -> c.cr_input) bytes
   @@ fields_end
 
-let sample = pair int i64
+(* A resume replays each timeline through [Timeline.record], which raises
+   on a point earlier than the one before it. Times are virtual ns or exec
+   counts, so they start at 0 and never go back; reject any other file
+   here, before a campaign is built from it. *)
+let timeline =
+  let checked samples =
+    ignore
+      (List.fold_left
+         (fun last (t, _) ->
+           if t < last then
+             raise (Corrupt (Printf.sprintf "timeline goes back from %d to %d" last t));
+           t)
+         0 samples);
+    samples
+  in
+  conv Fun.id checked (list (pair int i64))
 
 let dyn_state =
   let open Policy in
@@ -123,16 +138,19 @@ let dyn_state =
   @@ field (fun d -> d.ds_moves) int
   @@ fields_end
 
+(* The last int slot is unused; files from before the boundary prior was
+   removed hold its skipped-hash count there. It is written as 0 and read
+   and dropped, so the body layout and those files stay valid. *)
 let policy_state =
   let open Policy in
-  record (fun st_rng st_cursor st_dyn st_probes st_probe_hashes st_probe_skipped ->
-      { st_rng; st_cursor; st_dyn; st_probes; st_probe_hashes; st_probe_skipped })
+  record (fun st_rng st_cursor st_dyn st_probes st_probe_hashes _probe_skipped ->
+      { st_rng; st_cursor; st_dyn; st_probes; st_probe_hashes })
   @@ field (fun s -> s.st_rng) i64
   @@ field (fun s -> s.st_cursor) (list (pair int int))
   @@ field (fun s -> s.st_dyn) (list dyn_state)
   @@ field (fun s -> s.st_probes) int
   @@ field (fun s -> s.st_probe_hashes) int
-  @@ field (fun s -> s.st_probe_skipped) int
+  @@ field (fun _ -> 0) int
   @@ fields_end
 
 let engine =
@@ -239,12 +257,12 @@ let codec =
   @@ field (fun t -> t.c_policy_state) policy_state
   @@ field (fun t -> t.c_corpus) (list corpus_entry)
   @@ field (fun t -> t.c_virgin) bytes
-  @@ field (fun t -> t.c_timeline) (list sample)
+  @@ field (fun t -> t.c_timeline) timeline
   @@ field (fun t -> t.c_crashes) (list crash)
   @@ field (fun t -> t.c_engine) engine
   @@ field (fun t -> t.c_dict) (list bytes)
   @@ field (fun t -> t.c_max_ops) int
-  @@ field (fun t -> t.c_exec_timeline) (list sample)
+  @@ field (fun t -> t.c_exec_timeline) timeline
   @@ field (fun t -> t.c_mut_engine) string
   @@ field (fun t -> t.c_mut_weights) (list (pair string i64))
   @@ field (fun t -> t.c_mut_state) (list mut_state)

@@ -10,7 +10,6 @@ type t = {
   obs : Nyx_obs.Obs.t;
   peer : Nyx_peer.Peer_driver.t option;
   mutable probe_hashed : int; (* state hashes taken by the last probe *)
-  mutable probe_skipped : int; (* indices the static prior let it skip *)
 }
 
 let create ?(asan = false) ?(layout_cookie = 0) ?(boundaries = true)
@@ -51,7 +50,7 @@ let create ?(asan = false) ?(layout_cookie = 0) ?(boundaries = true)
   let ops =
     Op_handlers.create ~net ~runtime ~target ~on_snapshot:take_snapshot ?custom ()
   in
-  { clock; ctx; engine; ops; target; obs; peer; probe_hashed = 0; probe_skipped = 0 }
+  { clock; ctx; engine; ops; target; obs; peer; probe_hashed = 0 }
 
 let clock t = t.clock
 let obs t = t.obs
@@ -274,38 +273,18 @@ let state_hash t = Target.state_hash t.ctx (Nyx_snapshot.Engine.aux t.engine)
 let last_snapshot_pages t = Nyx_snapshot.Engine.last_create_pages t.engine
 
 (* Single-step the (snapshot-stripped) program from the root, hashing the
-   protocol state after every packet; a hash change at packet i+1 marks a
-   state-machine boundary. Only interior indices are reported — placing
-   the snapshot at 0 or past the last packet is never useful. A crash in
-   the probe simply truncates the boundary list (the crashing mutant will
-   be triaged by a real execution; the probe's job is placement only). The
-   full probe cost — replay, per-step hashing — lands on the virtual
-   clock, so placement decisions stay deterministic.
-
-   [feasible] is the static prior from [Nyx_analysis.Dataflow]: the
-   sorted interior indices at which a boundary can possibly appear. With
-   it the probe hashes only at feasible indices — an inert op cannot
-   move the hash, so the skipped comparisons are exactly the ones that
-   always came back equal (and the hash after the last op, whose
-   boundary would never be interior). Under NYX_SANITIZE the skipped
-   indices are re-hashed anyway as a conformance check — off the virtual
-   clock, so the sanitized timeline stays bit-identical — and a hash
-   move at an infeasible index raises [Interp.Violation] with code
-   [state-boundary-escape]: the static classification was unsound. *)
-let state_boundaries ?feasible t program =
+   protocol state before the first op and after every op but the last; a
+   hash change at packet i+1 marks a state-machine boundary. Only interior
+   indices are candidates — placing the snapshot at 0 or past the last
+   packet is never useful — so the state after the last op is never
+   hashed. A crash in the probe simply truncates the boundary list (the
+   crashing mutant will be triaged by a real execution; the probe's job is
+   placement only). The full probe cost — replay, per-step hashing — lands
+   on the virtual clock, so placement decisions stay deterministic. *)
+let state_boundaries t program =
   let p = Nyx_spec.Program.strip_snapshots program in
   let n = Array.length p.Nyx_spec.Program.ops in
-  let feasible_at =
-    match feasible with
-    | None -> fun _ -> true
-    | Some fs ->
-      let a = Array.make (n + 1) false in
-      List.iter (fun b -> if b >= 0 && b <= n then a.(b) <- true) fs;
-      fun b -> a.(b)
-  in
-  let sanitize = Nyx_spec.Interp.sanitize_default in
   t.probe_hashed <- 0;
-  t.probe_skipped <- 0;
   reset_to_root t;
   let h = Op_handlers.handlers t.ops in
   let env = Nyx_spec.Interp.initial_env p in
@@ -319,41 +298,13 @@ let state_boundaries ?feasible t program =
     (status_of_run (fun () ->
          for i = 0 to n - 1 do
            ignore (Nyx_spec.Interp.run ~from:i ~until:(i + 1) ~env p h);
-           if feasible_at (i + 1) then begin
+           if i + 1 < n then begin
              let cur = hash () in
-             if cur <> !prev && i + 1 <= n - 1 then boundaries := (i + 1) :: !boundaries;
+             if cur <> !prev then boundaries := (i + 1) :: !boundaries;
              prev := cur
-           end
-           else begin
-             t.probe_skipped <- t.probe_skipped + 1;
-             (* Boundary n (after the last op) is excluded from the prior
-                by construction, not by inertness — it is never a
-                placement candidate, so the hash there may legitimately
-                move. Shadow-check interior boundaries only, mirroring
-                the recording condition above. *)
-             if sanitize && i + 1 <= n - 1 then begin
-               (* Shadow hash for conformance only: roll the clock back so
-                  the sanitized run keeps the prior-on timeline. *)
-               let t0 = Nyx_sim.Clock.now_ns t.clock in
-               let cur = state_hash t in
-               Nyx_sim.Clock.set_ns t.clock t0;
-               if cur <> !prev then
-                 raise
-                   (Nyx_spec.Interp.Violation
-                      {
-                        op = i;
-                        code = "state-boundary-escape";
-                        detail =
-                          Printf.sprintf
-                            "protocol-state hash moved at statically infeasible \
-                             boundary %d (op classified inert)"
-                            (i + 1);
-                      })
-             end
            end
          done));
   reset_to_root t;
   List.rev !boundaries
 
 let last_probe_hashed t = t.probe_hashed
-let last_probe_skipped t = t.probe_skipped

@@ -121,28 +121,20 @@ val state_hash : t -> int
     fuzzy aux-state signature folded with the target's state-code
     annotation. Charges virtual time. *)
 
-val state_boundaries : ?feasible:int list -> t -> Nyx_spec.Program.t -> int list
+val state_boundaries : t -> Nyx_spec.Program.t -> int list
 (** Single-step the program (snapshots stripped) from the root snapshot,
-    hashing the protocol state after every packet. Returns the ascending
-    interior packet indices [1 <= i <= packets-1] where the hash changed —
-    the state-machine boundaries the dynamic placement policy snaps
-    candidate snapshot points to. A crash mid-probe truncates the list.
-    Leaves the instance reset to the root. Costs (replay + hashing) are
-    charged to the virtual clock.
-
-    [feasible] is the static boundary prior
-    ({!Nyx_analysis.Dataflow.feasible_boundaries}): only those indices
-    are hashed — sound because a statically inert op cannot move the
-    hash — cutting the probe's hashing cost without changing the result.
-    Under [NYX_SANITIZE] the skipped indices are shadow-hashed off the
-    virtual clock as a conformance check; a hash move at one raises
-    {!Nyx_spec.Interp.Violation} with code [state-boundary-escape]. *)
+    hashing the protocol state at the root and after every packet but the
+    last — only interior indices can be placements, so the state after
+    the last packet is never hashed. Returns the ascending interior packet
+    indices [1 <= i <= packets-1] where the hash changed — the
+    state-machine boundaries the dynamic placement policy snaps candidate
+    snapshot points to. A crash mid-probe truncates the list. Leaves the
+    instance reset to the root. Costs (replay + hashing) are charged to
+    the virtual clock. *)
 
 val last_probe_hashed : t -> int
-(** State hashes taken by the most recent {!state_boundaries} probe. *)
-
-val last_probe_skipped : t -> int
-(** Indices the static prior let the most recent probe skip. *)
+(** State hashes taken by the most recent {!state_boundaries} probe:
+    [n] for a probe of an [n]-op program ([n >= 1]) that did not crash. *)
 
 val last_snapshot_pages : t -> int
 (** Pages copied by this instance's most recent incremental snapshot

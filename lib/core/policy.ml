@@ -32,7 +32,6 @@ type t = {
   dyn : (int, dyn) Hashtbl.t; (* dynamic: input id -> adaptive state *)
   mutable probes : int;
   mutable probe_hashes : int; (* state hashes taken across all probes *)
-  mutable probe_skipped : int; (* hashes the static prior saved *)
   mutable last_move : (int * int * int) option; (* input, from, to *)
 }
 
@@ -53,7 +52,7 @@ let reuse_count = 50
 
 let create kind rng =
   { kind; rng; cursor = Hashtbl.create 64; dyn = Hashtbl.create 64; probes = 0;
-    probe_hashes = 0; probe_skipped = 0; last_move = None }
+    probe_hashes = 0; last_move = None }
 
 let kind t = t.kind
 let is_dynamic t = t.kind = Dynamic
@@ -94,12 +93,11 @@ let prepare_dynamic t ~input_id ~packets ~full_ns =
     let d = dyn_entry t ~input_id ~full_ns in
     if d.db_probed then `Ready else `Probe
 
-let set_boundaries ?(hashed = 0) ?(skipped = 0) t ~input_id ~packets ~boundaries =
+let set_boundaries ?(hashed = 0) t ~input_id ~packets ~boundaries =
   match Hashtbl.find_opt t.dyn input_id with
   | None -> ()
   | Some d ->
     t.probe_hashes <- t.probe_hashes + hashed;
-    t.probe_skipped <- t.probe_skipped + skipped;
     let interior = List.filter (fun i -> i >= 1 && i <= packets - 1) boundaries in
     let cands =
       match interior with [] -> [| packets - 1 |] | l -> Array.of_list l
@@ -297,7 +295,7 @@ let placement_stats t =
       {
         Report.probes = t.probes;
         probe_hashes = t.probe_hashes;
-        probe_hashes_skipped = t.probe_skipped;
+        probe_hashes_skipped = 0;
         moves = !moves;
         boundary_count = !bounds;
         placements = List.sort compare !placements;
@@ -332,7 +330,6 @@ type state = {
   st_dyn : dyn_state list;
   st_probes : int;
   st_probe_hashes : int;
-  st_probe_skipped : int;
 }
 
 let checkpoint_state t =
@@ -364,7 +361,6 @@ let checkpoint_state t =
            t.dyn []);
     st_probes = t.probes;
     st_probe_hashes = t.probe_hashes;
-    st_probe_skipped = t.probe_skipped;
   }
 
 let restore_state t s =
@@ -393,5 +389,4 @@ let restore_state t s =
     s.st_dyn;
   t.probes <- s.st_probes;
   t.probe_hashes <- s.st_probe_hashes;
-  t.probe_skipped <- s.st_probe_skipped;
   t.last_move <- None

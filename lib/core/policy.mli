@@ -75,7 +75,6 @@ val prepare_dynamic :
 
 val set_boundaries :
   ?hashed:int ->
-  ?skipped:int ->
   t ->
   input_id:int ->
   packets:int ->
@@ -84,10 +83,8 @@ val set_boundaries :
 (** Record the probe's result. Indices are clamped to the interior
     [1..packets-1]; an empty result degrades to the single candidate
     [packets-1] (deepest placement — the aggressive heuristic).
-    [hashed]/[skipped] are the probe's hash counts
-    ({!Executor.last_probe_hashed}/[last_probe_skipped]), accumulated
-    into {!placement_stats} to surface what the static boundary prior
-    saved. *)
+    [hashed] is the probe's hash count ({!Executor.last_probe_hashed}),
+    accumulated into {!placement_stats}. *)
 
 val observe_full : t -> input_id:int -> ns:int -> unit
 (** Fold a measured full (root) execution into the entry's EWMA. *)
@@ -133,7 +130,6 @@ type state = {
   st_dyn : dyn_state list;  (** dynamic table, sorted by input id *)
   st_probes : int;
   st_probe_hashes : int;
-  st_probe_skipped : int;
 }
 
 val checkpoint_state : t -> state

@@ -31,7 +31,7 @@ type peer_stats = {
 type placement_stats = {
   probes : int;
   probe_hashes : int; (* state hashes taken across all boundary probes *)
-  probe_hashes_skipped : int; (* hashes the static boundary prior saved *)
+  probe_hashes_skipped : int; (* always 0; kept for perfbench/ *)
   moves : int;
   boundary_count : int;
   placements : (int * int) list;

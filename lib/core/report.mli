@@ -45,7 +45,8 @@ type placement_stats = {
   probes : int;  (** state-boundary probes run (one per long-enough entry) *)
   probe_hashes : int;  (** state hashes the probes took *)
   probe_hashes_skipped : int;
-      (** hashes the static boundary prior let the probes skip *)
+      (** always 0: the probes skip no hash they could use. Kept only
+          because [perfbench/] reads it. *)
   moves : int;  (** snapshot relocations after the initial placement *)
   boundary_count : int;  (** protocol-state boundaries the probes found *)
   placements : (int * int) list;

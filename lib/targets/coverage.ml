@@ -33,13 +33,6 @@ let reset t =
   t.live <- 0;
   t.prev <- 0
 
-(* Full-map reference path, kept for property tests: clears every cell
-   whether journaled or not. *)
-let reset_slow t =
-  Bytes.fill t.map 0 map_size '\000';
-  t.live <- 0;
-  t.prev <- 0
-
 let hit t site =
   let site = site land (map_size - 1) in
   let idx = (site lxor t.prev) land (map_size - 1) in
@@ -64,13 +57,6 @@ let bucket c =
   else 128
 
 let edge_count t = t.live
-
-let edge_count_slow t =
-  let n = ref 0 in
-  for i = 0 to map_size - 1 do
-    if Bytes.get t.map i <> '\000' then incr n
-  done;
-  !n
 
 (* Reporting-only: O(map) full scan in cell-index order.  The hot paths
    (merge, save, matches) walk the journal directly instead. *)
@@ -178,19 +164,6 @@ module Cumulative = struct
         Bytes.unsafe_set t.virgin i (Char.unsafe_chr (seen lor b))
       end
     done;
-    !novel
-
-  (* The pre-journal reference: full-scan via [iter_hits], kept for the
-     equivalence property tests and the hotpath bench's before gear. *)
-  let merge_slow t cov =
-    let novel = ref false in
-    iter_hits cov (fun i b ->
-        let seen = Char.code (Bytes.get t.virgin i) in
-        if seen lor b <> seen then begin
-          novel := true;
-          if seen = 0 then t.edges <- t.edges + 1;
-          Bytes.set t.virgin i (Char.chr (seen lor b))
-        end);
     !novel
 
   let edge_count t = t.edges

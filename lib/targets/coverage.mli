@@ -8,9 +8,7 @@
     The map carries a hit-site {e journal} — the coverage-layer analogue
     of the paper's dirty stack (§"fast reload"): every cell touched this
     execution is recorded once, so [reset], [save], [restore], [matches]
-    and [Cumulative.merge] are O(touched cells), never O(map).  The
-    [_slow] full-scan variants are the pre-journal reference
-    implementations, kept only for property tests and benchmarks. *)
+    and [Cumulative.merge] are O(touched cells), never O(map). *)
 
 val map_size : int
 (** 65536. *)
@@ -23,19 +21,12 @@ val reset : t -> unit
 (** Clear per-execution state (map and previous-location register).
     O(touched cells): only journaled cells are cleared. *)
 
-val reset_slow : t -> unit
-(** Reference implementation: O(map) full fill. Behaviourally identical
-    to [reset]; for property tests and the hotpath bench only. *)
-
 val hit : t -> int -> unit
 (** [hit t site] records an edge from the previous site to [site]
     (saturating 8-bit hit counts). *)
 
 val edge_count : t -> int
 (** Distinct map cells hit this execution. O(1): the journal length. *)
-
-val edge_count_slow : t -> int
-(** Reference implementation: O(map) full scan. *)
 
 val iter_hits : t -> (int -> int -> unit) -> unit
 (** [iter_hits t f] calls [f index bucketed_count] for each hit cell,
@@ -87,17 +78,12 @@ module Cumulative : sig
       corpus-sync path uses this to judge exported programs against the
       shared virgin map without re-executing them. *)
 
-  val merge_slow : t -> cov -> bool
-  (** Reference implementation via [iter_hits]: O(map). Same verdict and
-      same resulting state as [merge]; for property tests and the
-      hotpath bench only. *)
-
   val edge_count : t -> int
   (** Distinct cells ever hit — the "branch coverage" metric of
       Table 2. O(1): maintained incrementally by merges. *)
 
   val edge_count_slow : t -> int
-  (** Reference implementation: O(map) full scan. *)
+  (** O(map) full scan: what {!load_state} recomputes the count with. *)
 
   val state_bytes : t -> bytes
   (** Copy of the virgin map — the complete cumulative state, for

@@ -1,6 +1,9 @@
 (* Reference implementations of hot-path functions, kept to check their
-   allocation-lean replacements in lib/ against. Each is the earlier
-   straightforward version, unchanged apart from module paths. *)
+   allocation-lean replacements in lib/ against; the hotpath bench times
+   the coverage ones as its before gear. Each is the earlier
+   straightforward version, unchanged apart from module paths and, where
+   it reads private state, a checked view of the representation. The
+   dense probe at the end is the oracle for [Executor.state_boundaries]. *)
 
 open Nyx_spec
 
@@ -401,3 +404,95 @@ module Net_mirror = struct
   (* The kernel image snapshots capture. *)
   let image net = Marshal.to_bytes (view net).st []
 end
+
+(* [Nyx_targets.Coverage]'s full-scan paths from before the hit journal,
+   over a mirror of its private representation: each [view] checks the
+   record shape before any field is read, so a layout drift fails loudly
+   rather than misreading. *)
+module Coverage = struct
+  open Nyx_targets.Coverage
+
+  (* [c]'s private record, once its shape — [size] fields, bytes first —
+     is checked. *)
+  let checked_view ~size what c =
+    let r = Obj.repr c in
+    if Obj.size r <> size || Obj.tag (Obj.field r 0) <> Obj.string_tag then
+      failwith ("Reference.Coverage: " ^ what ^ " layout changed");
+    Obj.magic c
+
+  type t = {
+    map : Bytes.t;
+    mutable prev : int;
+    journal : int array;
+    mutable live : int;
+  }
+
+  let view (c : Nyx_targets.Coverage.t) : t = checked_view ~size:4 "Coverage.t" c
+
+  (* Clears every cell whether journaled or not. *)
+  let reset_slow c =
+    let t = view c in
+    Bytes.fill t.map 0 map_size '\000';
+    t.live <- 0;
+    t.prev <- 0
+
+  let edge_count_slow c =
+    let t = view c in
+    let n = ref 0 in
+    for i = 0 to map_size - 1 do
+      if Bytes.get t.map i <> '\000' then incr n
+    done;
+    !n
+
+  module Cumulative = struct
+    type t = {
+      virgin : Bytes.t;
+      mutable edges : int;
+    }
+
+    let view (c : Nyx_targets.Coverage.Cumulative.t) : t =
+      checked_view ~size:2 "Coverage.Cumulative.t" c
+
+    (* Full scan via [iter_hits]. *)
+    let merge_slow c cov =
+      let t = view c in
+      let novel = ref false in
+      iter_hits cov (fun i b ->
+          let seen = Char.code (Bytes.get t.virgin i) in
+          if seen lor b <> seen then begin
+            novel := true;
+            if seen = 0 then t.edges <- t.edges + 1;
+            Bytes.set t.virgin i (Char.chr (seen lor b))
+          end);
+      !novel
+  end
+end
+
+(* The dense state-boundary probe: the protocol-state hash at the root
+   and after every op, the last included, each taken after replaying
+   that prefix from the root with [Executor.run_full]. A change at an
+   interior index is a boundary; a prefix that does not pass ends the
+   probe. Returns the boundaries, the hashes taken and whether a prefix
+   crashed. *)
+let state_boundaries exec program =
+  let open Nyx_core in
+  let p = Program.strip_snapshots program in
+  let n = Array.length p.Program.ops in
+  let hashes = ref 0 in
+  let state_after i =
+    let prefix = { p with Program.ops = Array.sub p.Program.ops 0 i } in
+    match (Executor.run_full exec prefix).Report.status with
+    | Report.Pass ->
+      incr hashes;
+      Some (Executor.state_hash exec)
+    | Report.Hang | Report.Crash _ -> None
+  in
+  let rec probe i prev acc =
+    if i > n then (acc, false)
+    else
+      match state_after i with
+      | None -> (acc, true)
+      | Some cur -> probe (i + 1) cur (if cur <> prev && i < n then i :: acc else acc)
+  in
+  let boundaries, crashed = probe 1 (Option.get (state_after 0)) [] in
+  (List.rev boundaries, !hashes, crashed)

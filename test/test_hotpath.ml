@@ -53,7 +53,7 @@ let prop_journal_matches_model =
         sites;
       Coverage.signature cov = Model.signature m
       && Coverage.edge_count cov = Model.edge_count m
-      && Coverage.edge_count cov = Coverage.edge_count_slow cov)
+      && Coverage.edge_count cov = Reference.Coverage.edge_count_slow cov)
 
 let prop_reset_equiv_slow =
   QCheck.Test.make ~name:"journaled reset == full-fill reset" ~count:100
@@ -62,13 +62,13 @@ let prop_reset_equiv_slow =
       List.iter (Coverage.hit c1) a;
       List.iter (Coverage.hit c2) a;
       Coverage.reset c1;
-      Coverage.reset_slow c2;
+      Reference.Coverage.reset_slow c2;
       (* Both must land in the pristine state: replaying a second
          sequence gives identical maps. *)
       List.iter (Coverage.hit c1) b;
       List.iter (Coverage.hit c2) b;
       Coverage.signature c1 = Coverage.signature c2
-      && Coverage.edge_count c1 = Coverage.edge_count_slow c1)
+      && Coverage.edge_count c1 = Reference.Coverage.edge_count_slow c1)
 
 let prop_merge_equiv_slow =
   QCheck.Test.make ~name:"journaled merge == iter_hits merge" ~count:60
@@ -82,7 +82,7 @@ let prop_merge_equiv_slow =
           Coverage.reset cov;
           List.iter (Coverage.hit cov) sites;
           let nf = Coverage.Cumulative.merge fast cov in
-          let ns = Coverage.Cumulative.merge_slow slow cov in
+          let ns = Reference.Coverage.Cumulative.merge_slow slow cov in
           nf = ns
           && Coverage.Cumulative.edge_count fast
              = Coverage.Cumulative.edge_count_slow fast

@@ -77,6 +77,49 @@ let test_state_boundaries_interior () =
      probing twice gives the same answer. *)
   Alcotest.(check (list int)) "probe is repeatable" b1 (Executor.state_boundaries exec p)
 
+(* Every registry target's seed programs, with one executor per target. *)
+let probe_targets () =
+  let ns = Campaign.net_spec () in
+  List.map
+    (fun (entry : Nyx_targets.Registry.entry) ->
+      let target = entry.Nyx_targets.Registry.target in
+      ( target.Nyx_targets.Target.info.Nyx_targets.Target.name,
+        Nyx_targets.Registry.seed_programs entry ns,
+        Executor.create ~net_spec:ns target ))
+    (Nyx_targets.Registry.all ())
+
+(* The probe finds exactly the dense reference's boundaries on every
+   target's seeds and two mutants of each. It never hashes after the last
+   op: a probe that does not crash takes one hash per op, one fewer than
+   the reference; one that crashes takes as many as the reference. *)
+let prop_probe_matches_dense_reference =
+  QCheck.Test.make ~name:"probe == dense reference, minus the last-op hash" ~count:3
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Nyx_sim.Rng.create seed in
+      List.for_all
+        (fun (name, seeds, exec) ->
+          List.for_all
+            (fun p ->
+              let n = Array.length (Nyx_spec.Program.strip_snapshots p).Nyx_spec.Program.ops in
+              let want, dense, crashed = Reference.state_boundaries exec p in
+              let got = Executor.state_boundaries exec p in
+              let hashed = Executor.last_probe_hashed exec in
+              let expected = if crashed then dense else dense - 1 in
+              n = 0
+              || (got = want && hashed = expected && (crashed || hashed = n))
+              || QCheck.Test.fail_reportf
+                   "%s (%d ops): boundaries [%s] vs reference [%s], %d hashes vs %d%s"
+                   name n
+                   (String.concat ";" (List.map string_of_int got))
+                   (String.concat ";" (List.map string_of_int want))
+                   hashed dense
+                   (if crashed then " (crashed)" else ""))
+            (List.concat_map
+               (fun p -> p :: List.init 2 (fun _ -> Nyx_spec.Mutator.mutate rng p))
+               seeds))
+        (probe_targets ()))
+
 (* ------------------------------------------------------------------ *)
 (* Dynamic policy unit behaviour                                       *)
 
@@ -374,6 +417,7 @@ let () =
         [
           Alcotest.test_case "boundaries are interior and repeatable" `Quick
             test_state_boundaries_interior;
+          QCheck_alcotest.to_alcotest prop_probe_matches_dense_reference;
         ] );
       ( "policy",
         [

@@ -564,7 +564,7 @@ let sample_checkpoint () =
     c_mut_rng = -1L;
     c_policy_state =
       { Policy.st_rng = 17L; st_cursor = [ (1, 2); (3, 4) ]; st_dyn = []; st_probes = 0;
-        st_probe_hashes = 0; st_probe_skipped = 0 };
+        st_probe_hashes = 0 };
     c_corpus =
       [
         {
@@ -923,6 +923,114 @@ let test_rejects_out_of_range_pfns () =
           ("duplicate dirty pfn", [], [ 4; 9; 4 ]);
         ])
 
+(* Timelines that go back in time, in files whose CRC is valid: a resume
+   replays them point by point, so [load] must reject them with an
+   [Error] naming the timeline instead. *)
+let test_rejects_non_monotone_timelines () =
+  let inst = Campaign.start long_config (echo_entry ()) in
+  Campaign.step inst ~until_ns:500_000_000;
+  let ck = Campaign.checkpoint_now inst in
+  let back tl =
+    let t, v = List.nth tl (List.length tl - 1) in
+    tl @ [ (t - 1, v) ]
+  in
+  with_file (fun path ->
+      let load t =
+        put path (Checkpoint.encode t);
+        Checkpoint.load path
+      in
+      check_bool "untouched checkpoint loads" true (Result.is_ok (load ck));
+      List.iter
+        (fun (what, t) ->
+          match load t with
+          | Ok _ -> Alcotest.failf "%s: accepted" what
+          | Error m -> check_bool (what ^ ": " ^ m) true (contains m "timeline")
+          | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+        [
+          ("coverage timeline goes back",
+           { ck with Checkpoint.c_timeline = back ck.Checkpoint.c_timeline });
+          ("exec timeline goes back",
+           { ck with Checkpoint.c_exec_timeline = back ck.Checkpoint.c_exec_timeline });
+          ("negative time",
+           { ck with Checkpoint.c_timeline = (-5, 0L) :: ck.Checkpoint.c_timeline });
+        ])
+
+(* [Fleet]'s NYXFLT2 body, field for field: the slots (index, campaign
+   checkpoint, clock at the last accounting), then the union map, sync
+   period, import flag, epoch, epoch rows (seven ints each), work,
+   makespan and write ordinal. *)
+let fleet_body =
+  let open Codec in
+  let row = pair int (pair int (pair int (pair int (pair int (pair int int))))) in
+  pair
+    (array (pair int (pair (option Checkpoint.codec) int)))
+    (pair bytes (pair int (pair bool (pair int (pair (list row) (pair int (pair int int)))))))
+
+let test_fleet_rejects_non_monotone_timeline () =
+  let entry = echo_entry () in
+  with_file (fun path ->
+      let checkpoint = Fleet.checkpointing ~path ~every_epochs:2 () in
+      ignore
+        (Fleet.run ~instances:2 ~domains:1 ~sync_ns:150_000_000 ~checkpoint
+           ~config:long_config entry);
+      let data = ok (Atomic_io.read_file path) in
+      let slots, rest = Codec.unframe ~magic:"NYXFLT2" fleet_body data in
+      check_bool "the mirror re-frames the file byte for byte" true
+        (Codec.frame ~magic:"NYXFLT2" fleet_body (slots, rest) = data);
+      let backwards (ck : Checkpoint.t) =
+        { ck with Checkpoint.c_timeline = ck.Checkpoint.c_timeline @ [ (-1, 0L) ] }
+      in
+      let slots =
+        Array.map (fun (idx, (inst, prev)) -> (idx, (Option.map backwards inst, prev))) slots
+      in
+      put path (Codec.frame ~magic:"NYXFLT2" fleet_body (slots, rest));
+      match Fleet.resume ~domains:1 ~path entry with
+      | _ -> Alcotest.fail "a fleet checkpoint whose timeline goes back was accepted"
+      | exception Invalid_argument m -> check_bool m true (contains m "timeline"))
+
+(* A dynamic campaign's checkpoint from before the static boundary prior
+   was removed holds the prior's skipped-hash count, nonzero, in the
+   policy state's last slot. That slot is still read and dropped, so the
+   file loads as the same checkpoint and resumes into the same campaign. *)
+let test_loads_legacy_policy_slot () =
+  let entry = Option.get (Nyx_targets.Registry.find "lightftp") in
+  let config = { long_config with Campaign.policy = Policy.Dynamic } in
+  let inst = Campaign.start config entry in
+  Campaign.step inst ~until_ns:500_000_000;
+  let ck = Campaign.checkpoint_now inst in
+  let ps = ck.Checkpoint.c_policy_state in
+  check_bool "the campaign has probed" true (ps.Policy.st_probes > 0);
+  let be64 v =
+    let d = Bytes.create 8 in
+    Bytes.set_int64_be d 0 (Int64.of_int v);
+    Bytes.to_string d
+  in
+  (* probes, probe hashes, then the slot, which the encoder writes as 0 *)
+  let tail = be64 ps.Policy.st_probes ^ be64 ps.Policy.st_probe_hashes ^ be64 0 in
+  let enc = Checkpoint.encode ck in
+  let n = Bytes.length enc in
+  let hits =
+    List.filter
+      (fun i -> Bytes.sub_string enc i 24 = tail)
+      (List.init (n - 24) Fun.id)
+  in
+  let slot =
+    match hits with
+    | [ i ] -> i + 16
+    | _ -> Alcotest.failf "policy-state tail found %d times" (List.length hits)
+  in
+  Bytes.set_int64_be enc slot 118L;
+  Bytes.set_int32_be enc (n - 4) (Int32.of_int (Codec.crc32 enc 7 (n - 11)));
+  with_file (fun path ->
+      put path enc;
+      let loaded = ok (Checkpoint.load path) in
+      check_bool "loads as the same checkpoint" true (loaded = ck);
+      let resumed = Campaign.resume_inst loaded entry in
+      Campaign.step resumed ~until_ns:1_000_000_000;
+      Campaign.step inst ~until_ns:1_000_000_000;
+      check_bool "resumes into the same campaign" true
+        (Campaign.checkpoint_now resumed = Campaign.checkpoint_now inst))
+
 let test_corruption_sweep_fleet () =
   let entry = echo_entry () in
   with_file (fun path ->
@@ -1031,5 +1139,11 @@ let () =
             test_corruption_sweep_fleet;
           Alcotest.test_case "rejects out-of-range engine pfns" `Quick
             test_rejects_out_of_range_pfns;
+          Alcotest.test_case "rejects non-monotone timelines" `Quick
+            test_rejects_non_monotone_timelines;
+          Alcotest.test_case "fleet rejects a non-monotone timeline" `Quick
+            test_fleet_rejects_non_monotone_timeline;
+          Alcotest.test_case "loads a nonzero legacy policy slot" `Quick
+            test_loads_legacy_policy_slot;
         ] );
     ]
