@@ -1,6 +1,6 @@
 # Convenience entry points; see README.md for the full bench matrix.
 
-.PHONY: all check build test lint faultcheck statecheck profile trace-smoke ci-local bench-smoke bench-hotpath bench-snapshot bench-mutation bench-peer bench loc clean
+.PHONY: all check build test lint faultcheck statecheck profile trace-smoke ci-local bench-smoke bench-hotpath bench-snapshot bench-mutation bench-peer bench loc perf-ab clean
 
 all: check
 
@@ -139,6 +139,18 @@ loc:
 	        n = split("lib bin bench test", areas, " "); \
 	        for (i = 1; i <= n; i++) { k = areas[i]; \
 	          printf "%-6s %8d %8d %+8d\n", k, a[k], r[k], a[k] - r[k] } }'
+
+# Wall-clock A/B of perfbench between BASE and the working tree: PAIRS
+# alternating pairs of `perfbench/run.sh --trace 0 --seconds 10`, each
+# side's quartiles of execs_per_wall_s and minor_words_per_exec, and the
+# pairs each side won. Fails if execs_per_virtual_s or final_edges
+# differ between the sides.
+#   make perf-ab BASE=<rev> WORKLOAD=<name> SEED=<n> PAIRS=<k>
+WORKLOAD ?= lightftp-static
+SEED ?= 1
+PAIRS ?= 5
+perf-ab:
+	bash bench/perf_ab.sh "$(BASE)" "$(WORKLOAD)" "$(SEED)" "$(PAIRS)"
 
 clean:
 	dune clean

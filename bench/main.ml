@@ -91,13 +91,14 @@ let json_obj fields =
 let json_lines items = Printf.sprintf "[\n%s\n  ]" (String.concat ",\n" items)
 
 (* Where a wall-clock record came from: its numbers only compare across
-   runs with the same commit, host and runtime settings. The
+   runs with the same commit, host and runtime settings. A commit ending
+   in "-dirty" had uncommitted changes in its tree. The
    deterministic records leave it out, since CI diffs them byte for
    byte against the committed copies. *)
 let provenance () =
   let commit =
     try
-      let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+      let ic = Unix.open_process_in "git describe --always --dirty --abbrev=7 2>/dev/null" in
       let line = In_channel.input_line ic in
       match (Unix.close_process_in ic, line) with
       | Unix.WEXITED 0, Some c when c <> "" -> c
@@ -965,6 +966,11 @@ let execs_to_frontier (o : Fleet.outcome) frontier =
       else None)
     o.Fleet.sync_epochs
 
+(* The fleet's measured wall-clock speedup on N domains over 1, next to
+   the modeled [work_ns / makespan_ns]. *)
+let wall_speedup (seq : Fleet.outcome) (par : Fleet.outcome) =
+  seq.Fleet.wall_s /. Float.max 1e-9 par.Fleet.wall_s
+
 let parallel_smoke () =
   Printf.printf "\n== Parallel smoke: shared-corpus fleet scaling (NYX_DOMAINS gate) ==\n\n";
   let budget_s =
@@ -995,8 +1001,8 @@ let parallel_smoke () =
     List.map
       (fun n ->
         Printf.printf "  -- fleet size N=%d: 1 domain vs %d domains --\n" n n;
-        Printf.printf "%-12s %8s %12s %12s %12s %12s %8s %10s\n" "target" "speedup"
-          "seq wall (s)" "par wall (s)" "seq execs/s" "par execs/s" "sync" "identical";
+        Printf.printf "%-12s %8s %8s %12s %12s %12s %12s %8s %10s\n" "target" "modeled"
+          "wall" "seq wall (s)" "par wall (s)" "seq execs/s" "par execs/s" "sync" "identical";
         let rows =
           List.map
             (fun name ->
@@ -1016,9 +1022,9 @@ let parallel_smoke () =
                 float_of_int o.Fleet.total_execs /. Float.max 1e-9 o.Fleet.wall_s
               in
               let share = sync_share par in
-              Printf.printf "%-12s %7.2fx %12.3f %12.3f %12.0f %12.0f %7.2f%% %10b\n%!"
-                name speedup seq.Fleet.wall_s par.Fleet.wall_s (eps seq) (eps par)
-                (100.0 *. share) identical;
+              Printf.printf "%-12s %7.2fx %7.2fx %12.3f %12.3f %12.0f %12.0f %7.2f%% %10b\n%!"
+                name speedup (wall_speedup seq par) seq.Fleet.wall_s par.Fleet.wall_s
+                (eps seq) (eps par) (100.0 *. share) identical;
               (name, seq, par, speedup, share, identical))
             targets
         in
@@ -1110,12 +1116,14 @@ let parallel_smoke () =
                         in
                         Printf.sprintf
                           "      {\"target\": %S, \"speedup\": %.3f, \
+                           \"measured_wall_speedup\": %.3f, \
                            \"work_ns\": %d, \"makespan_ns\": %d, \
                            \"seq_wall_s\": %.4f, \"par_wall_s\": %.4f, \
                            \"seq_execs_per_wall_s\": %.0f, \
                            \"par_execs_per_wall_s\": %.0f, \
                            \"sync_share\": %.4f, \"identical\": %b}"
-                          name speedup par.Fleet.work_ns par.Fleet.makespan_ns
+                          name speedup (wall_speedup seq par) par.Fleet.work_ns
+                          par.Fleet.makespan_ns
                           seq.Fleet.wall_s par.Fleet.wall_s (eps seq) (eps par)
                           share identical)
                       rows)))

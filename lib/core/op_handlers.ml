@@ -82,7 +82,7 @@ let implicit_send t payload =
       | () ->
         Target.pump t.runtime;
         t.after_packet ();
-        (try ignore (Net.responses t.net fl) with Invalid_argument _ -> ())
+        Net.discard_responses t.net fl
       | exception Invalid_argument _ -> ())
 
 let handlers t =
@@ -137,7 +137,7 @@ let handlers t =
       (* Drain responses so server writes don't accumulate. *)
       (if con <> refused then
          match if is_udp t then Hashtbl.find_opt t.udp_flows con else Some con with
-         | Some fl -> ( try ignore (Net.responses t.net fl) with Invalid_argument _ -> ())
+         | Some fl -> Net.discard_responses t.net fl
          | None -> ());
       []
     | "close" ->

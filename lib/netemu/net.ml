@@ -38,11 +38,21 @@ type state = {
   mutable syscalls : int;
 }
 
+(* Besides the state, [t] keeps a direct-indexed view of two of its
+   tables, outside the state so that the kernel image stays the same:
+   [by_fd.(fd)] is the socket [fd] refers to, and [by_flow.(fl)] the live
+   socket flow [fl] is bound to. A slot holds [no_sock] when the fd is
+   closed, the flow unknown, or the flow's socket dead. Every write to
+   [fds], [flows] or [socks] that changes the answer updates it, and every
+   load refills it; under NYX_SANITIZE each of those is checked against
+   the tables. *)
 type t = {
   mutable st : state;
   clock : Nyx_sim.Clock.t;
   backend : backend;
   boundaries : bool;
+  mutable by_fd : sock array;
+  mutable by_flow : sock array;
 }
 
 (* Every table starts at this many buckets ([Hashtbl.create] rounds
@@ -62,10 +72,91 @@ let fresh_state () =
     syscalls = 0;
   }
 
+(* The index's empty slot. Its id is above every socket's, so a scan for
+   the lowest ready id passes over it. Domain-safe: it is never mutated,
+   only compared physically. *)
+let no_sock =
+  {
+    sid = max_int;
+    proto = Tcp;
+    port = 0;
+    listening = false;
+    backlog = [];
+    inbox = [];
+    partial = None;
+    out_rev = [];
+    peer_open = false;
+    eof_pending = false;
+    refcount = 0;
+    conn_flow = -1;
+    reply_flow = -1;
+    write_shut = false;
+    options = [];
+    outbound = false;
+  }
+
 let create ?(backend = Emulated) ?(boundaries = true) clock =
-  { st = fresh_state (); clock; backend; boundaries }
+  {
+    st = fresh_state ();
+    clock;
+    backend;
+    boundaries;
+    by_fd = Array.make table_size no_sock;
+    by_flow = Array.make table_size no_sock;
+  }
 
 let backend t = t.backend
+
+let sanitize =
+  match Sys.getenv_opt "NYX_SANITIZE" with
+  | Some ("1" | "true" | "yes" | "on") -> true
+  | _ -> false
+
+(* Slot [i] of an index, [no_sock] past its end. *)
+let slot a i = if i >= 0 && i < Array.length a then Array.unsafe_get a i else no_sock
+
+(* [a] with room for slot [i]. *)
+let grown a i =
+  if i < Array.length a then a
+  else begin
+    let b = Array.make (max (i + 1) (2 * Array.length a)) no_sock in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let index_fd t fd s =
+  t.by_fd <- grown t.by_fd fd;
+  t.by_fd.(fd) <- s
+
+let index_flow t fl s =
+  t.by_flow <- grown t.by_flow fl;
+  t.by_flow.(fl) <- s
+
+(* The fd and flow index of [st]'s tables, with [sock] giving the
+   record for a socket id ([no_sock] for a dead one). *)
+let index_of st sock =
+  let by_fd = Array.make st.next_fd no_sock and by_flow = Array.make st.next_flow no_sock in
+  Hashtbl.iter (fun fd (sid, _) -> by_fd.(fd) <- sock sid) st.fds;
+  Hashtbl.iter (fun fl sid -> by_flow.(fl) <- sock sid) st.flows;
+  (by_fd, by_flow)
+
+let live_sock st sid = Option.value ~default:no_sock (Hashtbl.find_opt st.socks sid)
+
+(* NYX_SANITIZE: every slot must hold the very socket record the tables
+   name. *)
+let check_index t =
+  let by_fd, by_flow = index_of t.st (live_sock t.st) in
+  let agree what a expected =
+    for i = 0 to max (Array.length a) (Array.length expected) - 1 do
+      if slot a i != slot expected i then
+        failwith
+          (Printf.sprintf "Net: the descriptor index disagrees with the tables at %s %d" what i)
+    done
+  in
+  agree "fd" t.by_fd by_fd;
+  agree "flow" t.by_flow by_flow
+
+let checked t = if sanitize then check_index t
 
 (* In-place reload. The first load of a capture decodes it once into a
    template, and every load rewrites the live state from the template:
@@ -82,19 +173,18 @@ let backend t = t.backend
      with the template; each appears once in it, as in the capture.
    - Packet bytes are copied, so the guest never writes into the
      template and no two live packets share bytes.
-   Under NYX_SANITIZE every in-place load re-marshals the state and
-   raises if the image differs from the capture. *)
-
-let sanitize =
-  match Sys.getenv_opt "NYX_SANITIZE" with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | _ -> false
+   The template also holds the descriptor index over its live twins,
+   which each load copies in. Under NYX_SANITIZE every in-place load
+   re-marshals the state and raises if the image differs from the
+   capture. *)
 
 type refill = {
   r_socks : (int * sock * sock) array; (* sid, template socket, live twin *)
   r_fds : (int * (int * int)) array;
   r_flows : (int * int) array;
   r_listeners : (int * int) array;
+  r_by_fd : sock array; (* the index over the live twins *)
+  r_by_flow : sock array;
   r_state : state; (* the decoded capture, never mutated *)
 }
 
@@ -116,16 +206,27 @@ let template_of image =
       || buckets st.flows > table_size
       || buckets st.listeners > table_size
     then None
-    else
+    else begin
+      let r_socks =
+        Array.map (fun (sid, s) -> (sid, s, { s with port = s.port })) (add_order st.socks)
+      in
+      let twin sid =
+        match Array.find_opt (fun (id, _, _) -> id = sid) r_socks with
+        | Some (_, _, live) -> live
+        | None -> no_sock
+      in
+      let r_by_fd, r_by_flow = index_of st twin in
       Some
         {
-          r_socks =
-            Array.map (fun (sid, s) -> (sid, s, { s with port = s.port })) (add_order st.socks);
+          r_socks;
           r_fds = add_order st.fds;
           r_flows = add_order st.flows;
           r_listeners = add_order st.listeners;
+          r_by_fd;
+          r_by_flow;
           r_state = st;
         }
+    end
   in
   { image; refill }
 
@@ -137,6 +238,14 @@ let refill_table tbl entries =
     let k, v = entries.(i) in
     Hashtbl.add tbl k v
   done
+
+(* [a] holding exactly [src]'s slots. *)
+let refilled a src =
+  let n = Array.length src in
+  let a = if Array.length a < n then Array.make n no_sock else a in
+  Array.blit src 0 a 0 n;
+  Array.fill a n (Array.length a - n) no_sock;
+  a
 
 let refill_state st r =
   Hashtbl.reset st.socks;
@@ -182,12 +291,19 @@ let load t cache image =
       cache := (match cached with [] -> [ tp ] | recent :: _ -> [ tp; recent ]);
       tp
   in
-  match tp.refill with
-  | None -> t.st <- Marshal.from_bytes image 0
+  (match tp.refill with
+  | None ->
+    t.st <- Marshal.from_bytes image 0;
+    let by_fd, by_flow = index_of t.st (live_sock t.st) in
+    t.by_fd <- by_fd;
+    t.by_flow <- by_flow
   | Some r ->
     refill_state t.st r;
+    t.by_fd <- refilled t.by_fd r.r_by_fd;
+    t.by_flow <- refilled t.by_flow r.r_by_flow;
     if sanitize && not (Bytes.equal (Marshal.to_bytes t.st []) image) then
-      failwith "Net: in-place reload does not reproduce the captured state"
+      failwith "Net: in-place reload does not reproduce the captured state");
+  checked t
 
 let register_aux t aux =
   let cache = ref [] in
@@ -217,9 +333,8 @@ let charge t cost_real =
 let charge_syscall t = charge t Nyx_sim.Cost.real_syscall
 
 let sock_of_fd t fd =
-  match Hashtbl.find_opt t.st.fds fd with
-  | None -> raise (Bad_fd fd)
-  | Some (sid, _) -> Hashtbl.find t.st.socks sid
+  let s = slot t.by_fd fd in
+  if s == no_sock then raise (Bad_fd fd) else s
 
 let new_sock t proto =
   let st = t.st in
@@ -252,7 +367,10 @@ let attach_fd t sid =
   let fd = st.next_fd in
   st.next_fd <- st.next_fd + 1;
   Hashtbl.replace st.fds fd (sid, 1);
-  (Hashtbl.find st.socks sid).refcount <- (Hashtbl.find st.socks sid).refcount + 1;
+  let s = Hashtbl.find st.socks sid in
+  s.refcount <- s.refcount + 1;
+  index_fd t fd s;
+  checked t;
   fd
 
 (* Target-side API *)
@@ -384,14 +502,23 @@ let close t fd =
      the socket itself dies with its last reference. *)
   (match Hashtbl.find_opt t.st.fds fd with
   | Some (sid, n) when n > 1 -> Hashtbl.replace t.st.fds fd (sid, n - 1)
-  | _ -> Hashtbl.remove t.st.fds fd);
+  | _ ->
+    Hashtbl.remove t.st.fds fd;
+    index_fd t fd no_sock);
   s.refcount <- s.refcount - 1;
   if s.refcount <= 0 then begin
     if s.port <> 0 && Hashtbl.find_opt t.st.listeners s.port = Some s.sid then
       Hashtbl.remove t.st.listeners s.port;
     if s.conn_flow >= 0 then Hashtbl.remove t.st.flows s.conn_flow;
-    Hashtbl.remove t.st.socks s.sid
-  end
+    Hashtbl.remove t.st.socks s.sid;
+    (* A dead UDP socket keeps its peers' [flows] bindings, so clear
+       every slot that names it, not only its own flow's. *)
+    let by_flow = t.by_flow in
+    for fl = 0 to Array.length by_flow - 1 do
+      if by_flow.(fl) == s then by_flow.(fl) <- no_sock
+    done
+  end;
+  checked t
 
 let dup t fd =
   charge_syscall t;
@@ -408,6 +535,8 @@ let connect_out t fd ~port =
   t.st.next_flow <- fl + 1;
   s.conn_flow <- fl;
   Hashtbl.replace t.st.flows fl s.sid;
+  index_flow t fl s;
+  checked t;
   fl
 
 let shutdown t fd how =
@@ -457,36 +586,32 @@ type event = Idle | Accept | Read
 (* Readiness of one socket: a pending connection, data or EOF to read, or
    nothing. *)
 let event s =
-  if s.listening && s.proto <> Udp && s.backlog <> [] then Accept
-  else
+  match s.backlog with
+  | _ :: _ when s.listening && s.proto <> Udp -> Accept
+  | _ -> (
     match (s.inbox, s.partial) with
     | _ :: _, _ | _, Some _ -> Read
-    | [], None -> if s.eof_pending then Read else Idle
+    | [], None -> if s.eof_pending then Read else Idle)
 
 let poll t =
   charge t Nyx_sim.Cost.real_syscall;
-  let st = t.st in
-  (* The ready socket with the lowest id that still has a descriptor, at
-     its lowest fd: two scans of the fd table, no list built or sorted. *)
-  let sid =
-    Hashtbl.fold
-      (fun _ (sid, _) best ->
-        if sid < best then
-          match Hashtbl.find st.socks sid with
-          | s -> if event s <> Idle then sid else best
-          | exception Not_found -> best
-        else best)
-      st.fds max_int
-  in
-  if sid = max_int then None
-  else begin
-    let fd =
-      Hashtbl.fold (fun fd (s, _) best -> if s = sid && fd < best then fd else best) st.fds max_int
-    in
-    match event (Hashtbl.find st.socks sid) with
-    | Accept -> Some (`Accept fd)
-    | Read | Idle -> Some (`Read fd)
-  end
+  (* The ready socket with the lowest id that has a descriptor, at its
+     lowest fd: one ascending scan of the fd index, where a socket's
+     first fd is its lowest. *)
+  let by_fd = t.by_fd in
+  let best = ref no_sock and best_fd = ref (-1) in
+  for fd = 0 to min t.st.next_fd (Array.length by_fd) - 1 do
+    let s = Array.unsafe_get by_fd fd in
+    if s.sid < !best.sid && event s <> Idle then begin
+      best := s;
+      best_fd := fd
+    end
+  done;
+  if !best == no_sock then None
+  else
+    match event !best with
+    | Accept -> Some (`Accept !best_fd)
+    | Read | Idle -> Some (`Read !best_fd)
 
 let fork t =
   charge t Nyx_sim.Cost.fork;
@@ -520,17 +645,18 @@ let connect_peer t ~port =
       conn.conn_flow <- fl;
       conn.port <- 0;
       Hashtbl.replace t.st.flows fl conn.sid;
+      index_flow t fl conn;
       listener.backlog <- listener.backlog @ [ conn.sid ];
+      checked t;
       Some fl
     end
 
 let sock_of_flow t fl =
-  match Hashtbl.find_opt t.st.flows fl with
-  | None -> invalid_arg (Printf.sprintf "Net: unknown flow %d" fl)
-  | Some sid -> (
-    match Hashtbl.find_opt t.st.socks sid with
-    | None -> invalid_arg (Printf.sprintf "Net: flow %d socket closed" fl)
-    | Some s -> s)
+  let s = slot t.by_flow fl in
+  if s != no_sock then s
+  else if Hashtbl.mem t.st.flows fl then
+    invalid_arg (Printf.sprintf "Net: flow %d socket closed" fl)
+  else invalid_arg (Printf.sprintf "Net: unknown flow %d" fl)
 
 let inject_cost t len =
   match t.backend with
@@ -561,6 +687,8 @@ let udp_send_peer t ~port ?flow data =
           let fl = t.st.next_flow in
           t.st.next_flow <- fl + 1;
           Hashtbl.replace t.st.flows fl sid;
+          index_flow t fl s;
+          checked t;
           fl
       in
       s.inbox <- s.inbox @ [ (fl, Bytes.copy data) ];
@@ -575,12 +703,12 @@ let close_peer t fl =
 (* Flow [fl]'s replies in a newest-first queue, oldest first. This and
    [drop_flow] take [fl] as an argument: local closures over it would
    allocate on every [responses] call. *)
-let rec replies_of fl acc = function
+let rec replies_of (fl : flow) acc = function
   | [] -> acc
   | (f, d) :: rest -> replies_of fl (if f = fl then d :: acc else acc) rest
 
 (* The queue without flow [fl]'s replies, in the same order. *)
-let[@tail_mod_cons] rec drop_flow fl = function
+let[@tail_mod_cons] rec drop_flow (fl : flow) = function
   | [] -> []
   | ((f, _) as r) :: rest -> if f = fl then drop_flow fl rest else r :: drop_flow fl rest
 
@@ -590,10 +718,16 @@ let responses t fl =
     s.out_rev <- drop_flow fl s.out_rev;
     mine
   in
-  (* The flow's own socket plus any UDP socket that replied via sendto. *)
-  match Hashtbl.find t.st.socks (Hashtbl.find t.st.flows fl) with
-  | s -> collect s
-  | exception Not_found -> Hashtbl.fold (fun _ s acc -> acc @ collect s) t.st.socks []
+  (* The flow's own socket; without a live one, every socket, as a UDP
+     socket may have replied to it via sendto. *)
+  let s = slot t.by_flow fl in
+  if s != no_sock then collect s
+  else Hashtbl.fold (fun _ s acc -> acc @ collect s) t.st.socks []
+
+let discard_responses t fl =
+  let s = slot t.by_flow fl in
+  if s != no_sock then s.out_rev <- drop_flow fl s.out_rev
+  else Hashtbl.iter (fun _ s -> s.out_rev <- drop_flow fl s.out_rev) t.st.socks
 
 let outbound_flows t =
   Hashtbl.fold

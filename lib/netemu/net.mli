@@ -137,6 +137,12 @@ val close_peer : t -> flow -> unit
 val responses : t -> flow -> bytes list
 (** Drain everything the target sent on this flow (oldest first). *)
 
+val discard_responses : t -> flow -> unit
+(** Drain like {!responses}, leaving the same state, without building
+    the list: for callers that only keep the target's send queues from
+    growing. Allocates nothing when the flow has a live socket whose
+    queue holds only replies to it. *)
+
 val outbound_flows : t -> flow list
 (** Flows created by the target's own {!connect_out} calls, oldest
     first — the attack surface of a client target. *)

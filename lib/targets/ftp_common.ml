@@ -45,11 +45,33 @@ let sample_session =
     "TYPE I\r\n"; "PASV\r\n"; "LIST\r\n"; "QUIT\r\n";
   ]
 
+(* Sends "<code> <text>\r\n" for a three-digit [code]. *)
 let reply_str reply code text =
-  reply (Bytes.of_string (Printf.sprintf "%d %s\r\n" code text))
+  assert (code >= 100 && code <= 999);
+  let n = String.length text in
+  let b = Bytes.create (n + 6) in
+  Bytes.set b 0 (Char.chr (48 + (code / 100)));
+  Bytes.set b 1 (Char.chr (48 + (code / 10 mod 10)));
+  Bytes.set b 2 (Char.chr (48 + (code mod 10)));
+  Bytes.set b 3 ' ';
+  Bytes.blit_string text 0 b 4 n;
+  Bytes.set b (n + 4) '\r';
+  Bytes.set b (n + 5) '\n';
+  reply b
 
 (* Commands allowed before authentication completes. *)
-let pre_auth_ok cmd = List.mem cmd [ "USER"; "PASS"; "QUIT"; "FEAT"; "SYST"; "NOOP"; "HELP" ]
+let pre_auth_ok = function
+  | "USER" | "PASS" | "QUIT" | "FEAT" | "SYST" | "NOOP" | "HELP" -> true
+  | _ -> false
+
+let rec mem_command (cmd : string) = function
+  | [] -> false
+  | c :: rest -> String.equal c cmd || mem_command cmd rest
+
+(* The site a command-named site list binds to [cmd]. *)
+let rec site_of (cmd : string) = function
+  | [] -> raise Not_found
+  | (c, site) :: rest -> if String.equal c cmd then site else site_of cmd rest
 
 let hooks cfg =
   let site s = Ctx.site (cfg.name ^ "/" ^ s) in
@@ -134,7 +156,7 @@ let hooks cfg =
       else r 504 "unsupported type"
     | "PWD" ->
       Ctx.hit ctx S.pwd;
-      r 257 (Printf.sprintf "\"/depth%d\" is current directory" (get ctx conn Field.cwd_depth))
+      r 257 ("\"/depth" ^ string_of_int (get ctx conn Field.cwd_depth) ^ "\" is current directory")
     | "CWD" ->
       if Ctx.branch ctx S.cwd_up (arg = "..") then begin
         let d = get ctx conn Field.cwd_depth in
@@ -162,8 +184,8 @@ let hooks cfg =
         r 200 "ok"
       end
     | "MKD" | "RMD" | "DELE" ->
-      if Ctx.branch ctx (List.assoc cmd S.noarg) (arg = "") then r 501 "missing path"
-      else if Ctx.branch ctx (List.assoc cmd S.dotdot) (String.length arg >= 2
+      if Ctx.branch ctx (site_of cmd S.noarg) (arg = "") then r 501 "missing path"
+      else if Ctx.branch ctx (site_of cmd S.dotdot) (String.length arg >= 2
                                                         && String.sub arg 0 2 = "..")
       then r 550 "permission denied"
       else r 250 (cmd ^ " ok")
@@ -180,7 +202,7 @@ let hooks cfg =
         Ctx.hit ctx S.port_bad;
         r 501 "illegal port command")
     | "LIST" | "NLST" ->
-      if Ctx.branch ctx (List.assoc cmd S.nodata) (get ctx conn Field.passive = 0) then
+      if Ctx.branch ctx (site_of cmd S.nodata) (get ctx conn Field.passive = 0) then
         r 425 "use PASV first"
       else r 226 "transfer complete"
     | "RETR" ->
@@ -217,7 +239,7 @@ let hooks cfg =
         Ctx.hit ctx S.rest_bad;
         r 501 "bad offset")
     | "SIZE" | "MDTM" | "STAT" ->
-      if Ctx.branch ctx (List.assoc cmd S.noarg) (arg = "") then r 501 "missing argument"
+      if Ctx.branch ctx (site_of cmd S.noarg) (arg = "") then r 501 "missing argument"
       else r 213 "0"
     | "ABOR" -> r 226 "abort successful"
     | "SITE" -> r 500 "SITE not understood"
@@ -251,7 +273,7 @@ let hooks cfg =
             (cfg.require_auth && (not (pre_auth_ok cmd))
             && Guest_heap.get_i32 ctx.Ctx.heap (conn + Field.auth) <> 2)
         then reply_str reply 530 "please login with USER and PASS"
-        else if not (List.mem cmd cfg.commands) then begin
+        else if not (mem_command cmd cfg.commands) then begin
           Ctx.hit ctx S.unsupported;
           reply_str reply 502 "command not implemented"
         end

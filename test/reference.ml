@@ -350,10 +350,12 @@ module Net_mirror = struct
 
   (* Besides the counters, every socket must be a record of [sock]'s 16
      fields filed under its own id, so a change to Net's [sock] layout
-     fails here rather than misreading fields. *)
+     fails here rather than misreading fields. [Net.t] has two fields
+     past the four mirrored here: its fd and flow index, which the
+     mirror never reads. *)
   let mirror_ok net =
     let m = view net in
-    Obj.size (Obj.repr m) = 4
+    Obj.size (Obj.repr m) = 6
     && Obj.size (Obj.repr m.st) = 9
     && Hashtbl.length m.st.socks = Net.open_socket_count net
     && m.st.syscalls = Net.syscall_count net
@@ -389,9 +391,9 @@ module Net_mirror = struct
     | (_, fd, `Accept) :: _ -> Some (`Accept fd)
     | (_, fd, `Read) :: _ -> Some (`Read fd)
 
-  (* [Net.responses]: partition the whole queue on every call. *)
-  let responses net fl =
-    let st = (view net).st in
+  (* [Net.responses] on a state: partition the whole queue on every
+     call. *)
+  let drain st fl =
     let collect s =
       let mine, rest = List.partition (fun (f, _) -> f = fl) (List.rev s.out_rev) in
       s.out_rev <- List.rev rest;
@@ -401,8 +403,13 @@ module Net_mirror = struct
     | Some sid when Hashtbl.mem st.socks sid -> collect (Hashtbl.find st.socks sid)
     | _ -> Hashtbl.fold (fun _ s acc -> acc @ collect s) st.socks []
 
+  let responses net fl = drain (view net).st fl
+
   (* The kernel image snapshots capture. *)
   let image net = Marshal.to_bytes (view net).st []
+
+  (* An independent copy of the kernel state. *)
+  let copy_state net : state = Marshal.from_bytes (image net) 0
 end
 
 (* [Nyx_targets.Coverage]'s full-scan paths from before the hit journal,

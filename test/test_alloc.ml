@@ -30,9 +30,9 @@ type case = {
 let cases =
   [
     { c_name = "lightftp balanced+havoc"; target = "lightftp"; budget_ns = 4_000_000_000;
-      words_per_exec = 1467.1 };
+      words_per_exec = 836.9 };
     { c_name = "echo balanced+havoc"; target = "echo"; budget_ns = 4_000_000_000;
-      words_per_exec = 1151.4 };
+      words_per_exec = 822.4 };
   ]
 
 let headroom = 1.10
@@ -160,6 +160,38 @@ let test_site_hits_unboxed () =
   edges ();
   Alcotest.(check (float 0.0)) "hits and branches allocate nothing" 0.0 (words_of edges)
 
+(* With nothing ready, [Net.poll] is a scan of the fd index, and
+   draining a drained flow looks its socket up and finds the queue
+   empty: 1,000 polls and 1,000 discards allocate nothing. *)
+let test_net_idle_unboxed () =
+  let open Nyx_netemu in
+  let net = Net.create (Nyx_sim.Clock.create ()) in
+  let lfd = Net.socket net Net.Tcp in
+  Net.bind net lfd 21;
+  Net.listen net lfd;
+  let flow = Option.get (Net.connect_peer net ~port:21) in
+  let cfd =
+    match Net.poll net with
+    | Some (`Accept fd) -> Net.accept net fd
+    | _ -> Alcotest.fail "expected accept readiness"
+  in
+  ignore (Net.send net cfd (Bytes.of_string "220 ready\r\n"));
+  Net.discard_responses net flow;
+  Alcotest.(check bool) "nothing ready" true (Net.poll net = None);
+  Alcotest.(check int) "flow drained" 0 (List.length (Net.responses net flow));
+  let polls () =
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (Net.poll net))
+    done
+  in
+  let discards () =
+    for _ = 1 to 1000 do
+      Net.discard_responses net flow
+    done
+  in
+  Alcotest.(check (float 0.0)) "idle polls allocate nothing" 0.0 (words_of polls);
+  Alcotest.(check (float 0.0)) "drained discards allocate nothing" 0.0 (words_of discards)
+
 let () =
   Alcotest.run "nyx_alloc"
     [
@@ -171,5 +203,7 @@ let () =
           Alcotest.test_case "memory accessors allocate nothing" `Quick
             test_memory_accessors_unboxed;
           Alcotest.test_case "site hits allocate nothing" `Quick test_site_hits_unboxed;
+          Alcotest.test_case "idle poll and discard allocate nothing" `Quick
+            test_net_idle_unboxed;
         ] );
     ]

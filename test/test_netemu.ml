@@ -281,11 +281,12 @@ let prop_boundary_sequence =
    over small pools of ports, fds and flows, run on two identical stacks
    in lockstep. After every step, [Net.poll] must match the reference
    scan; [Net.responses] on one stack must match the reference drain on
-   the other, leaving byte-identical kernel images. *)
+   the other, and so must [Net.discard_responses], leaving
+   byte-identical kernel images. *)
 module Mirror = Reference.Net_mirror
 
 let script_gen =
-  QCheck.Gen.(list_size (int_range 1 60) (triple (int_bound 15) small_nat small_nat))
+  QCheck.Gen.(list_size (int_range 1 60) (triple (int_bound 16) small_nat small_nat))
 
 (* Pools of the fds and flows a script's calls have returned so far. *)
 type pools = { mutable fds : Net.fd list; mutable flows : Net.flow list }
@@ -319,7 +320,8 @@ let act pools (k, i, j) =
   | 12 -> ignore (Net.recvfrom n fd ~max:(1 + (j mod 4)))
   | 13 -> ignore (Net.send n fd payload)
   | 14 -> ignore (Net.sendto n fd fl payload)
-  | _ -> ignore (Net.responses n fl)
+  | 15 -> ignore (Net.responses n fl)
+  | _ -> Net.discard_responses n fl
 
 let run_script script =
   let a, _ = mk () and b, _ = mk () in
@@ -330,12 +332,17 @@ let run_script script =
     ra = rb
   in
   let step ((k, i, _) as s) =
-    if k < 15 then on_both (act pools s)
-    else
-      let fl = match pools.flows with [] -> -1 | l -> List.nth l (i mod List.length l) in
+    let fl = match pools.flows with [] -> -1 | l -> List.nth l (i mod List.length l) in
+    match k with
+    | 15 ->
       let got = try Some (Net.responses a fl) with _ -> None in
       let expected = try Some (Mirror.responses b fl) with _ -> None in
       got = expected
+    | 16 ->
+      let got = try Ok (Net.discard_responses a fl) with e -> Error e in
+      let expected = try Ok (ignore (Mirror.responses b fl)) with e -> Error e in
+      got = expected
+    | _ -> on_both (act pools s)
   in
   List.for_all
     (fun s ->
@@ -361,7 +368,10 @@ let prop_poll_responses_match_reference =
    [grow] opens 40 sockets and closes 30 of them, before the capture
    (the template's tables keep more buckets than their bindings need, so
    every load takes the Marshal fallback) or after it (the live tables
-   outgrow the template's). *)
+   outgrow the template's). After every step of the script, [Net.poll]
+   must match the reference scan and [Net.responses] on the step's flow
+   the reference drain of a copy of the state, so that a descriptor
+   index left stale by a load fails the round. *)
 let open_many net =
   let fds = List.init 40 (fun _ -> Net.socket net Net.Tcp) in
   List.iteri (fun i fd -> if i < 30 then Net.close net fd) fds
@@ -380,18 +390,37 @@ let restore_rounds (prefix, suffix, grow) =
   let aux = Nyx_snapshot.Aux_state.create () in
   Net.register_aux net aux;
   let pools = { fds = []; flows = [] } in
-  let run script = List.iter (fun s -> try act pools s net with _ -> ()) script in
-  run prefix;
+  let agrees (_, i, _) =
+    let fl = match pools.flows with [] -> -1 | l -> List.nth l (i mod List.length l) in
+    Mirror.mirror_ok net
+    && (let expected = Mirror.poll net in
+        Net.poll net = expected)
+    &&
+    let twin = Mirror.copy_state net in
+    let expected = try Some (Mirror.drain twin fl) with _ -> None in
+    (try Some (Net.responses net fl) with _ -> None) = expected
+    && Bytes.equal (Mirror.image net) (Marshal.to_bytes twin [])
+  in
+  let run script =
+    List.for_all
+      (fun s ->
+        (try act pools s net with _ -> ());
+        agrees s)
+      script
+  in
+  let prefix_agrees = run prefix in
   if grow = 1 then open_many net;
   let cap = Nyx_snapshot.Aux_state.capture aux clock in
   let image = Mirror.image net in
-  (grow <> 1 || socks_buckets net > 16)
+  prefix_agrees
+  && (grow <> 1 || socks_buckets net > 16)
   && List.for_all
        (fun round ->
          if round > 0 then scribble pools net;
-         run suffix;
+         let suffix_agrees = run suffix in
          if grow = 2 then open_many net;
-         (grow <> 2 || socks_buckets net > 16)
+         suffix_agrees
+         && (grow <> 2 || socks_buckets net > 16)
          && begin
               Nyx_snapshot.Aux_state.restore aux clock cap;
               Bytes.equal (Mirror.image net) image
