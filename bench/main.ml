@@ -971,6 +971,41 @@ let execs_to_frontier (o : Fleet.outcome) frontier =
 let wall_speedup (seq : Fleet.outcome) (par : Fleet.outcome) =
   seq.Fleet.wall_s /. Float.max 1e-9 par.Fleet.wall_s
 
+(* Sequential/parallel run pairs per fleet row: each fleet runs for well
+   under a second of wall time, so one pair's measured speedup swings
+   from below 1x to about 1.6x on a 2-core host. *)
+let wall_runs = 3
+
+(* A row's wall clock over its run pairs: the median wall time of each
+   side, and the median and range of the per-pair measured speedups. *)
+type walls = { seq_s : float; par_s : float; speedup : float; lo : float; hi : float }
+
+let walls runs =
+  let speedups = List.map (fun (seq, par) -> wall_speedup seq par) runs in
+  let med f = Nyx_sim.Stats.median (List.map f runs) in
+  {
+    seq_s = med (fun ((seq : Fleet.outcome), _) -> seq.Fleet.wall_s);
+    par_s = med (fun (_, (par : Fleet.outcome)) -> par.Fleet.wall_s);
+    speedup = Nyx_sim.Stats.median speedups;
+    lo = List.fold_left Float.min Float.infinity speedups;
+    hi = List.fold_left Float.max Float.neg_infinity speedups;
+  }
+
+let execs_per_wall_s (o : Fleet.outcome) wall_s =
+  float_of_int o.Fleet.total_execs /. Float.max 1e-9 wall_s
+
+(* One fleet row: the first run pair (every pair is identical in all but
+   wall time), the modeled speedup, the sync share and the wall clock. *)
+type row = {
+  target : string;
+  seq : Fleet.outcome;
+  par : Fleet.outcome;
+  modeled : float;
+  share : float;
+  identical : bool;
+  wall : walls;
+}
+
 let parallel_smoke () =
   Printf.printf "\n== Parallel smoke: shared-corpus fleet scaling (NYX_DOMAINS gate) ==\n\n";
   let budget_s =
@@ -1001,35 +1036,43 @@ let parallel_smoke () =
     List.map
       (fun n ->
         Printf.printf "  -- fleet size N=%d: 1 domain vs %d domains --\n" n n;
-        Printf.printf "%-12s %8s %8s %12s %12s %12s %12s %8s %10s\n" "target" "modeled"
-          "wall" "seq wall (s)" "par wall (s)" "seq execs/s" "par execs/s" "sync" "identical";
+        Printf.printf "%-12s %8s %8s %13s %12s %12s %12s %12s %8s %10s\n" "target"
+          "modeled" "wall" "wall range" "seq wall (s)" "par wall (s)" "seq execs/s"
+          "par execs/s" "sync" "identical";
         let rows =
           List.map
             (fun name ->
               let entry = Option.get (Nyx_targets.Registry.find name) in
-              let seq =
-                Fleet.run ~instances:n ~domains:1 ~sync_ns ~profile:true ~config entry
+              let runs =
+                List.init wall_runs (fun _ ->
+                    let seq =
+                      Fleet.run ~instances:n ~domains:1 ~sync_ns ~profile:true ~config entry
+                    in
+                    let par =
+                      Fleet.run ~instances:n ~domains:n ~sync_ns ~profile:true ~config entry
+                    in
+                    (seq, par))
               in
-              let par =
-                Fleet.run ~instances:n ~domains:n ~sync_ns ~profile:true ~config entry
+              let seq, par = List.hd runs in
+              let identical =
+                List.for_all (fun (s, p) -> same_fleet seq s && same_fleet seq p) runs
               in
-              let identical = same_fleet seq par in
               let speedup =
                 float_of_int par.Fleet.work_ns
                 /. float_of_int (max 1 par.Fleet.makespan_ns)
               in
-              let eps (o : Fleet.outcome) =
-                float_of_int o.Fleet.total_execs /. Float.max 1e-9 o.Fleet.wall_s
-              in
+              let w = walls runs in
               let share = sync_share par in
-              Printf.printf "%-12s %7.2fx %7.2fx %12.3f %12.3f %12.0f %12.0f %7.2f%% %10b\n%!"
-                name speedup (wall_speedup seq par) seq.Fleet.wall_s par.Fleet.wall_s
-                (eps seq) (eps par) (100.0 *. share) identical;
-              (name, seq, par, speedup, share, identical))
+              Printf.printf
+                "%-12s %7.2fx %7.2fx %5.2f-%5.2fx %12.3f %12.3f %12.0f %12.0f %7.2f%% %10b\n%!"
+                name speedup w.speedup w.lo w.hi w.seq_s w.par_s
+                (execs_per_wall_s seq w.seq_s) (execs_per_wall_s par w.par_s)
+                (100.0 *. share) identical;
+              { target = name; seq; par; modeled = speedup; share; identical; wall = w })
             targets
         in
         let mean =
-          List.fold_left (fun acc (_, _, _, s, _, _) -> acc +. s) 0.0 rows
+          List.fold_left (fun acc r -> acc +. r.modeled) 0.0 rows
           /. float_of_int (List.length rows)
         in
         Printf.printf "  N=%d mean speedup: %.2fx (ideal %d.00x)\n\n" n mean n;
@@ -1038,7 +1081,7 @@ let parallel_smoke () =
   in
   let all_identical =
     List.for_all
-      (fun (_, rows, _) -> List.for_all (fun (_, _, _, _, _, i) -> i) rows)
+      (fun (_, rows, _) -> List.for_all (fun r -> r.identical) rows)
       scaling
   in
   (* Corpus dedup: on lightftp, how many fleet execs until the union map
@@ -1052,10 +1095,7 @@ let parallel_smoke () =
   let synced =
     match List.assoc_opt dedup_n (List.map (fun (n, r, m) -> (n, (r, m))) scaling) with
     | Some (rows, _) ->
-      let _, _, par, _, _, _ =
-        List.find (fun (name, _, _, _, _, _) -> name = dedup_target) rows
-      in
-      par
+      (List.find (fun r -> r.target = dedup_target) rows).par
     | None -> Fleet.run ~instances:dedup_n ~domains:1 ~sync_ns ~config entry
   in
   let observer =
@@ -1088,6 +1128,7 @@ let parallel_smoke () =
       \  \"provenance\": %s,\n\
       \  \"virtual_budget_s\": %d,\n\
       \  \"sync_interval_ms\": %d,\n\
+      \  \"wall_runs\": %d,\n\
       \  \"scaling\": [\n%s\n\
       \  ],\n\
       \  \"dedup\": {\n\
@@ -1100,7 +1141,7 @@ let parallel_smoke () =
       \  \"mean_speedup\": %.3f,\n\
       \  \"parallel_identical_to_sequential\": %b\n\
        }"
-      (provenance ()) budget_s sync_ms
+      (provenance ()) budget_s sync_ms wall_runs
       (String.concat ",\n"
          (List.map
             (fun (n, rows, mean) ->
@@ -1109,22 +1150,19 @@ let parallel_smoke () =
                 n mean
                 (String.concat ",\n"
                    (List.map
-                      (fun (name, seq, par, speedup, share, identical) ->
-                        let eps (o : Fleet.outcome) =
-                          float_of_int o.Fleet.total_execs
-                          /. Float.max 1e-9 o.Fleet.wall_s
-                        in
+                      (fun { target; seq; par; modeled; share; identical; wall = w } ->
                         Printf.sprintf
                           "      {\"target\": %S, \"speedup\": %.3f, \
                            \"measured_wall_speedup\": %.3f, \
+                           \"measured_wall_speedup_range\": [%.3f, %.3f], \
                            \"work_ns\": %d, \"makespan_ns\": %d, \
                            \"seq_wall_s\": %.4f, \"par_wall_s\": %.4f, \
                            \"seq_execs_per_wall_s\": %.0f, \
                            \"par_execs_per_wall_s\": %.0f, \
                            \"sync_share\": %.4f, \"identical\": %b}"
-                          name speedup (wall_speedup seq par) par.Fleet.work_ns
-                          par.Fleet.makespan_ns
-                          seq.Fleet.wall_s par.Fleet.wall_s (eps seq) (eps par)
+                          target modeled w.speedup w.lo w.hi par.Fleet.work_ns
+                          par.Fleet.makespan_ns w.seq_s w.par_s
+                          (execs_per_wall_s seq w.seq_s) (execs_per_wall_s par w.par_s)
                           share identical)
                       rows)))
             scaling))

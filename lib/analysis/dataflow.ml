@@ -84,33 +84,55 @@ let feasible_boundaries ?udp (p : Program.t) =
 
 (* Abstract state path: the set of edge types with a live (unconsumed)
    value after each op of the *original* program (index 0 = before any
-   op). Snapshot ops leave the state unchanged. *)
+   op). Snapshot ops leave the state unchanged. One pass: a per-edge-type
+   count of live values, and the mask moves only when a count crosses
+   zero. Every argument slot from the first consume on kills a live
+   value it names, whatever its type or the op's arity. *)
 let state_path (p : Program.t) =
-  let n = Array.length p.Program.ops in
+  let spec = p.Program.spec in
+  let ops = p.Program.ops in
+  let n = Array.length ops in
   let path = Array.make (n + 1) 0 in
-  let value_ty = ref [||] in
-  let alive = ref [||] in
-  let mask () =
-    let m = ref 0 in
-    Array.iteri (fun i ty -> if !alive.(i) then m := !m lor (1 lsl ty)) !value_ty;
-    !m
+  let n_nodes = Spec.node_count spec and c = Spec.counts spec in
+  let cap = ref 0 in
+  for i = 0 to n - 1 do
+    let id = ops.(i).Program.node in
+    if id >= 0 && id < n_nodes then cap := !cap + c.Spec.n_outputs.(id)
+  done;
+  let value_ty = Array.make !cap 0 in
+  let alive = Bytes.make !cap '\000' in
+  let live = Array.make (Spec.n_edge_types spec) 0 in
+  let n_values = ref 0 in
+  let mask = ref 0 in
+  let rec push_outputs = function
+    | [] -> ()
+    | (e : Spec.edge_ty) :: rest ->
+      let ty = e.Spec.et_id in
+      value_ty.(!n_values) <- ty;
+      Bytes.set alive !n_values '\001';
+      incr n_values;
+      live.(ty) <- live.(ty) + 1;
+      mask := !mask lor (1 lsl ty);
+      push_outputs rest
   in
-  Array.iteri
-    (fun i (op : Program.op) ->
-      (match node_of p.Program.spec op.Program.node with
-      | Some nt when nt.Spec.nt_id <> Spec.snapshot_node_id ->
-        let n_borrows = List.length nt.Spec.borrows in
-        Array.iteri
-          (fun slot v ->
-            if slot >= n_borrows && v >= 0 && v < Array.length !alive then
-              !alive.(v) <- false)
-          op.Program.args;
-        let outs = Array.of_list (List.map (fun e -> e.Spec.et_id) nt.Spec.outputs) in
-        value_ty := Array.append !value_ty outs;
-        alive := Array.append !alive (Array.make (Array.length outs) true)
-      | _ -> ());
-      path.(i + 1) <- mask ())
-    p.Program.ops;
+  for i = 0 to n - 1 do
+    let op = ops.(i) in
+    let id = op.Program.node in
+    if id >= 0 && id < n_nodes && id <> Spec.snapshot_node_id then begin
+      let args = op.Program.args in
+      for slot = c.Spec.n_borrows.(id) to Array.length args - 1 do
+        let v = args.(slot) in
+        if v >= 0 && v < !n_values && Bytes.get alive v <> '\000' then begin
+          Bytes.set alive v '\000';
+          let ty = value_ty.(v) in
+          live.(ty) <- live.(ty) - 1;
+          if live.(ty) = 0 then mask := !mask land lnot (1 lsl ty)
+        end
+      done;
+      push_outputs (Spec.node spec id).Spec.outputs
+    end;
+    path.(i + 1) <- !mask
+  done;
   path
 
 let check ?udp (p : Program.t) : Diag.t list =

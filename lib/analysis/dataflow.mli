@@ -27,7 +27,13 @@ val feasible_boundaries : ?udp:bool -> Nyx_spec.Program.t -> int list
 
 val state_path : Nyx_spec.Program.t -> int array
 (** Edge-type bitmask of live values after each op of the original
-    program ([length = ops + 1], index 0 = initial state). *)
+    program ([length = ops + 1], index 0 = initial state). Defined on
+    any program: unknown and snapshot ops leave the mask as it is; every
+    other op first kills each live value named by an argument slot at or
+    after its first consume slot (whatever the value's type, and extra
+    slots past the arity included), then makes its outputs live. One
+    linear pass: it keeps a live count per edge type, and the mask
+    changes only when a count crosses zero. *)
 
 val check : ?udp:bool -> Nyx_spec.Program.t -> Diag.t list
 (** Diagnostics: [state-unreachable-op] (error — an input edge type no

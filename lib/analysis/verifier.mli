@@ -17,17 +17,26 @@
     (all data fields empty, no outputs/consumes), [leading-snapshot] /
     [trailing-snapshot] (degenerate incremental-snapshot placement,
     cf. §4.3), [data-at-bound] (a field saturating its [max_len] leaves
-    mutations no growth headroom). *)
+    mutations no growth headroom).
+
+    One walk serves {!check}, {!errors} and {!is_clean}; it differs only
+    in which diagnostics it builds. A message is formatted only when the
+    caller keeps that diagnostic, and {!is_clean} builds none: it stops
+    at the first error. *)
 
 val check : Nyx_spec.Program.t -> Diag.t list
 (** All diagnostics, in op order (dead-value warnings last). *)
 
 val errors : Nyx_spec.Program.t -> Diag.t list
-(** Error-severity findings only. Empty iff [validate] would accept the
-    program (modulo the first-error-only difference). *)
+(** Error-severity findings only: [List.filter Diag.is_error (check p)],
+    without formatting the warnings. Empty iff [validate] would accept
+    the program (modulo the first-error-only difference). *)
 
 val is_clean : Nyx_spec.Program.t -> bool
-(** [errors p = []]. *)
+(** Always equals [errors p = []] (qcheck-pinned on ill-formed programs
+    and on [Program.repair] output). Allocates no diagnostic: the walk
+    ends at the first error, and warnings are skipped unformatted. This
+    is the check every typed mutation candidate passes before it runs. *)
 
 val hotspot_min_bound : int
 (** Smallest [max_len] the [data-at-bound] hotspot warning applies to. *)

@@ -1,23 +1,25 @@
 open Nyx_targets
+open Nyx_vm
 
 let packet_bytes = 16
 
-(* The booted Game.t is stored per-context via the global state block: the
-   state address Game allocates is recorded at g+0 so each boot has its own
-   instance. The Game.t wrapper itself is reconstructed per packet. *)
+(* Each boot's game state lives in that context's guest heap; its address
+   is recorded at g+0, so every context (fleet instances run side by side
+   on several domains) finds its own game and a snapshot restore brings
+   the record back with the rest of guest memory. The Game.t wrapper is
+   rebuilt per packet. The record is harness bookkeeping, not game work,
+   so it is read and written without charging virtual time. *)
 
 let target level =
-  let game_ref : (Ctx.t * Game.t) option ref = ref None in
-  let on_init ctx ~g:_ =
-    game_ref := Some (ctx, Game.boot ctx level)
+  let on_init ctx ~g =
+    let game = Game.boot ctx level in
+    Memory.write_i32 (Guest_heap.memory ctx.Ctx.heap) g (Game.base game)
   in
-  let on_packet ctx ~g:_ ~conn:_ ~reply:_ data =
-    match !game_ref with
-    | Some (boot_ctx, game) when boot_ctx == ctx -> (
-      try Game.run_input game data
-      with Game.Level_solved { frames } ->
-        Ctx.crash ctx ~kind:"level-solved" (Printf.sprintf "solved in %d frames" frames))
-    | _ -> Ctx.crash ctx ~kind:"harness" "game not booted for this context"
+  let on_packet ctx ~g ~conn:_ ~reply:_ data =
+    let base = Memory.read_i32 (Guest_heap.memory ctx.Ctx.heap) g in
+    try Game.run_input (Game.attach ctx level ~base) data
+    with Game.Level_solved { frames } ->
+      Ctx.crash ctx ~kind:"level-solved" (Printf.sprintf "solved in %d frames" frames)
   in
   {
     Target.info =

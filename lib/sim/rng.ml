@@ -100,3 +100,20 @@ let weighted t pairs =
   match !rest with
   | (x, _) :: _ -> x
   | [] -> invalid_arg "Rng.weighted: empty list"
+
+(* [weighted] over indices [0 .. Array.length w - 1] with weights [w]:
+   the same additions in the same order, then the same scan. *)
+let weighted_index t w =
+  let n = Array.length w in
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    total := !total +. w.(i)
+  done;
+  if !total <= 0.0 then invalid_arg "Rng.weighted_index: non-positive total weight";
+  let target = float t !total in
+  let acc = ref 0.0 and i = ref 0 in
+  while !i < n - 1 && not (!acc +. w.(!i) > target) do
+    acc := !acc +. w.(!i);
+    incr i
+  done;
+  !i

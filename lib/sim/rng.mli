@@ -52,3 +52,8 @@ val shuffle : t -> 'a array -> unit
 
 val weighted : t -> ('a * float) list -> 'a
 (** Pick proportionally to the (positive) weights. *)
+
+val weighted_index : t -> float array -> int
+(** [weighted_index t w] is the index [weighted t] picks from the list
+    [(0, w.(0)); (1, w.(1)); …], with the same single draw, without
+    building the list. *)

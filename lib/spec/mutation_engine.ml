@@ -28,6 +28,7 @@ type t = {
   rejected : int array;
   accepts : int array;
   mutable last : int;  (* mutator that produced the last candidate; -1 none *)
+  select_w : float array;  (* scratch: this draw's selection weights *)
 }
 
 (* Selection weight floor: a mutator whose credit decays to 0 keeps
@@ -77,6 +78,7 @@ let create ~name ?(weights = []) mutators =
     rejected = Array.make n 0;
     accepts = Array.make n 0;
     last = -1;
+    select_w = Array.make n 0.0;
   }
 
 let name t = t.e_name
@@ -91,10 +93,12 @@ let mutate t rng ctx p =
   let n = Array.length t.mutators in
   let idx =
     if n = 1 then 0
-    else
-      Rng.weighted rng
-        (List.init n (fun i ->
-             (i, t.weight.(i) *. (credit_floor +. t.credit_.(i)))))
+    else begin
+      for i = 0 to n - 1 do
+        t.select_w.(i) <- t.weight.(i) *. (credit_floor +. t.credit_.(i))
+      done;
+      Rng.weighted_index rng t.select_w
+    end
   in
   match apply t idx rng ctx p with
   | Some q -> q

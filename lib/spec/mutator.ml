@@ -1,21 +1,12 @@
 open Nyx_sim
 
-(* Pick a node type able to carry data (for fresh-op append); falls back to
-   any non-snapshot node. *)
+(* Pick a node type for a fresh-op append: any non-snapshot node. Node
+   ids are the spec's array indices and the snapshot opcode is id 0, so
+   the [r]-th candidate, the draw [Rng.choose] makes over them, is node
+   [r + 1]. *)
 let random_node rng spec =
-  let all = Spec.nodes spec in
-  let is_candidate (nt : Spec.node_ty) = nt.Spec.nt_id <> Spec.snapshot_node_id in
-  let k = Array.fold_left (fun k nt -> if is_candidate nt then k + 1 else k) 0 all in
-  if k = 0 then None
-  else begin
-    (* The [r]-th candidate: the draw [Rng.choose] makes over them. *)
-    let r = ref (Rng.int rng k) and i = ref 0 in
-    while not (is_candidate all.(!i)) || !r > 0 do
-      if is_candidate all.(!i) then decr r;
-      incr i
-    done;
-    Some all.(!i)
-  end
+  let k = Spec.node_count spec - 1 in
+  if k <= 0 then None else Some (Spec.node spec (1 + Rng.int rng k))
 
 let fresh_op rng spec =
   match random_node rng spec with

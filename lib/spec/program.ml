@@ -76,8 +76,17 @@ let snapshot_index t =
   scan 0 0
 
 let strip_snapshots t =
-  { t with ops = Array.of_seq (Seq.filter (fun op -> op.node <> Spec.snapshot_node_id)
-                                 (Array.to_seq t.ops)) }
+  let kept = packet_count t in
+  let ops = if kept = 0 then [||] else Array.make kept t.ops.(0) in
+  let n = ref 0 in
+  for i = 0 to Array.length t.ops - 1 do
+    let op = t.ops.(i) in
+    if op.node <> Spec.snapshot_node_id then begin
+      ops.(!n) <- op;
+      incr n
+    end
+  done;
+  { t with ops }
 
 let with_snapshot_at t i =
   let t = strip_snapshots t in
@@ -104,11 +113,12 @@ let repair ?rng t =
   let open Spec in
   let ops = t.ops in
   let n_ops = Array.length ops in
+  let spec = t.spec in
+  let n_nodes = Spec.node_count spec and c = Spec.counts spec in
   let cap = ref 1 in
   for i = 0 to n_ops - 1 do
-    match Spec.node t.spec ops.(i).node with
-    | exception Invalid_argument _ -> ()
-    | nt -> cap := !cap + List.length nt.outputs
+    let id = ops.(i).node in
+    if id >= 0 && id < n_nodes then cap := !cap + c.n_outputs.(id)
   done;
   let vty = Array.make !cap 0 (* edge type id of each value *) in
   let mark = Array.make !cap 0 in
@@ -180,14 +190,15 @@ let repair ?rng t =
   let seen_snapshot = ref false in
   for i = 0 to n_ops - 1 do
     let op = ops.(i) in
-    match Spec.node t.spec op.node with
-    | exception Invalid_argument _ -> () (* unknown opcode: drop *)
-    | nt when nt.nt_id = Spec.snapshot_node_id && !seen_snapshot ->
+    let id = op.node in
+    if id < 0 || id >= n_nodes then () (* unknown opcode: drop *)
+    else if id = Spec.snapshot_node_id && !seen_snapshot then
       () (* at most one snapshot: keep the first *)
-    | nt ->
+    else begin
+      let nt = Spec.node spec id in
       let stamp = i + 1 in
-      let n_borrows = List.length nt.borrows in
-      let arity = n_borrows + List.length nt.consumes in
+      let n_borrows = c.n_borrows.(id) in
+      let arity = c.arity.(id) in
       (* Keep existing bindings that are still valid, fixing only the
          broken ones. Consumed slots must bind distinct values. *)
       args := op.args;
@@ -201,7 +212,7 @@ let repair ?rng t =
           mark.(args.(slot)) <- consumed
         done;
         let data =
-          if Array.length op.data = List.length nt.data && data_fits op.data 0 nt.data
+          if Array.length op.data = c.n_data.(id) && data_fits op.data 0 nt.data
           then op.data
           else
             Array.of_list
@@ -217,6 +228,7 @@ let repair ?rng t =
           (if args == op.args && data == op.data then op else { node = op.node; args; data });
         incr n_out
       end
+    end
   done;
   { t with ops = (if !n_out = n_ops then out else Array.sub out 0 !n_out) }
 

@@ -10,7 +10,17 @@ type node_ty = {
   data : data_ty list;
 }
 
-type t = { name : string; node_arr : node_ty array }
+(* Arrays rather than per-id accessors: the dev profile compiles modules
+   with [-opaque], so a cross-module accessor call in a per-op loop is
+   never inlined. *)
+type counts = {
+  n_borrows : int array;
+  arity : int array;
+  n_outputs : int array;
+  n_data : int array;
+}
+
+type t = { name : string; node_arr : node_ty array; counts : counts; n_edge_types : int }
 
 let snapshot_node_id = 0
 
@@ -44,7 +54,26 @@ let node_type b ?(borrows = []) ?(consumes = []) ?(outputs = []) ?(data = []) nt
   b.rev_nodes <- n :: b.rev_nodes;
   n
 
-let finalize b = { name = b.b_name; node_arr = Array.of_list (List.rev b.rev_nodes) }
+let finalize b =
+  let node_arr = Array.of_list (List.rev b.rev_nodes) in
+  let count f = Array.map (fun nt -> List.length (f nt)) node_arr in
+  let n_borrows = count (fun nt -> nt.borrows) in
+  let top = List.fold_left (fun m (e : edge_ty) -> max m (e.et_id + 1)) in
+  {
+    name = b.b_name;
+    node_arr;
+    counts =
+      {
+        n_borrows;
+        arity = Array.mapi (fun i nt -> n_borrows.(i) + List.length nt.consumes) node_arr;
+        n_outputs = count (fun nt -> nt.outputs);
+        n_data = count (fun nt -> nt.data);
+      };
+    n_edge_types =
+      Array.fold_left
+        (fun m nt -> top (top (top m nt.borrows) nt.consumes) nt.outputs)
+        b.next_edge node_arr;
+  }
 
 let name t = t.name
 
@@ -59,4 +88,7 @@ let node_by_name t n =
   | None -> raise Not_found
 
 let nodes t = Array.copy t.node_arr
+let node_count t = Array.length t.node_arr
+let counts t = t.counts
+let n_edge_types t = t.n_edge_types
 let snapshot_node t = t.node_arr.(0)

@@ -63,3 +63,27 @@ val nodes : t -> node_ty array
 (** All node types, including the snapshot opcode at index 0. *)
 
 val snapshot_node : t -> node_ty
+
+(** {1 Per-node counts} *)
+
+type counts = private {
+  n_borrows : int array;
+  arity : int array;  (** argument slots: borrows, then consumes *)
+  n_outputs : int array;
+  n_data : int array;
+}
+(** Each node's list lengths, indexed by node id: a table {!finalize}
+    builds once, so hot loops read an int instead of walking a list.
+    Node ids are the table's indices ([(node t id).nt_id = id]).
+    Callers only read it. *)
+
+val node_count : t -> int
+(** Node types including the snapshot opcode: the declared ids are
+    [0 .. node_count t - 1]. *)
+
+val counts : t -> counts
+
+val n_edge_types : t -> int
+(** One more than the largest edge type id any node mentions (at least
+    the number declared with {!edge_type}): edge ids index arrays of
+    this length. *)

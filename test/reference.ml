@@ -3,7 +3,7 @@
    the coverage ones as its before gear. Each is the earlier
    straightforward version, unchanged apart from module paths and, where
    it reads private state, a checked view of the representation. The
-   dense probe at the end is the oracle for [Executor.state_boundaries]. *)
+   dense probe is the oracle for [Executor.state_boundaries]. *)
 
 open Nyx_spec
 
@@ -503,3 +503,458 @@ let state_boundaries exec program =
   in
   let boundaries, crashed = probe 1 (Option.get (state_after 0)) [] in
   (List.rev boundaries, !hashes, crashed)
+
+(* [Nyx_analysis.Verifier.check] before the single lazy walk: every
+   diagnostic formatted, one [absval] record per value.
+
+   Abstract value: everything the lattice needs about one produced value.
+   A value starts Available when its producer op executes and moves to
+   Consumed at most once; [uses]/[consumed_at] record the provenance chain
+   reported with affine violations and dead-value warnings. *)
+module Verifier = struct
+  module Diag = Nyx_analysis.Diag
+
+  type absval = {
+    ty : Spec.edge_ty;
+    producer : int; (* op index that output this value *)
+    mutable uses : int list; (* op indices that borrowed it, newest first *)
+    mutable consumed_at : int option;
+  }
+
+  let op_site i = Printf.sprintf "op %d" i
+
+  let hotspot_min_bound = Nyx_analysis.Verifier.hotspot_min_bound
+
+  let check (p : Program.t) : Diag.t list =
+    let diags = ref [] in
+    let emit d = diags := d :: !diags in
+    let values : absval array = Array.make 16 { ty = { Spec.et_id = -1; et_name = "" }; producer = -1; uses = []; consumed_at = None } in
+    let values = ref values in
+    let n_values = ref 0 in
+    let push v =
+      if !n_values >= Array.length !values then begin
+        let bigger = Array.make (2 * Array.length !values) v in
+        Array.blit !values 0 bigger 0 !n_values;
+        values := bigger
+      end;
+      !values.(!n_values) <- v;
+      incr n_values
+    in
+    let snapshot_seen = ref false in
+    let n_ops = Array.length p.Program.ops in
+    Array.iteri
+      (fun opi (op : Program.op) ->
+        match Spec.node p.Program.spec op.Program.node with
+        | exception Invalid_argument _ ->
+          emit
+            (Diag.error ~code:"unknown-opcode" ~site:(op_site opi)
+               (Printf.sprintf "node type %d is not declared by spec %S" op.Program.node
+                  (Spec.name p.Program.spec)))
+        | nt ->
+          let name = nt.Spec.nt_name in
+          if nt.Spec.nt_id = Spec.snapshot_node_id then begin
+            if !snapshot_seen then
+              emit
+                (Diag.error ~code:"multiple-snapshots" ~site:(op_site opi)
+                   "second snapshot opcode: at most one incremental snapshot per program");
+            snapshot_seen := true;
+            if Array.length op.Program.args <> 0 || Array.length op.Program.data <> 0 then
+              emit
+                (Diag.error ~code:"snapshot-carries-payload" ~site:(op_site opi)
+                   "the snapshot opcode takes no arguments and carries no data");
+            (* Degenerate placements: an incremental snapshot of an empty
+               prefix restores nothing the root snapshot does not already
+               give us; a snapshot with an empty suffix never serves a
+               single mutated run (cf. §4.3). *)
+            if opi = 0 then
+              emit
+                (Diag.warning ~code:"leading-snapshot" ~site:(op_site opi)
+                   "snapshot before any interaction: the incremental snapshot \
+                    duplicates the root snapshot");
+            if opi = n_ops - 1 then
+              emit
+                (Diag.warning ~code:"trailing-snapshot" ~site:(op_site opi)
+                   "snapshot after the last interaction: no suffix is ever fuzzed \
+                    from it")
+          end
+          else begin
+            let inputs = nt.Spec.borrows @ nt.Spec.consumes in
+            let n_inputs = List.length inputs in
+            let n_borrows = List.length nt.Spec.borrows in
+            if Array.length op.Program.args <> n_inputs then
+              emit
+                (Diag.error ~code:"bad-arity" ~site:(op_site opi)
+                   (Printf.sprintf "%s expects %d argument(s), got %d" name n_inputs
+                      (Array.length op.Program.args)));
+            (* Check the slots both sides agree on, so arity errors do not
+               suppress independent findings. *)
+            List.iteri
+              (fun i expected ->
+                if i < Array.length op.Program.args then begin
+                  let idx = op.Program.args.(i) in
+                  if idx < 0 || idx >= !n_values then
+                    emit
+                      (Diag.error ~code:"dangling-arg" ~site:(op_site opi)
+                         (Printf.sprintf
+                            "%s argument %d references value %d, but only values \
+                             0..%d exist here"
+                            name i idx (!n_values - 1)))
+                  else begin
+                    let v = !values.(idx) in
+                    (match v.consumed_at with
+                    | Some at ->
+                      emit
+                        (Diag.error ~code:"affine-use-after-consume" ~site:(op_site opi)
+                           (Printf.sprintf
+                              "%s argument %d uses value %d (%s) after it was \
+                               consumed: produced at op %d, consumed at op %d"
+                              name i idx v.ty.Spec.et_name v.producer at))
+                    | None -> ());
+                    if v.ty.Spec.et_id <> expected.Spec.et_id then
+                      emit
+                        (Diag.error ~code:"type-mismatch" ~site:(op_site opi)
+                           (Printf.sprintf
+                              "%s argument %d has type %s (value %d, produced at op \
+                               %d), expected %s"
+                              name i v.ty.Spec.et_name idx v.producer
+                              expected.Spec.et_name));
+                    if i >= n_borrows then begin
+                      (* A consume slot takes the value out of the available
+                         set — even when its type was wrong, mirroring
+                         [Program.validate]'s single-pass semantics. *)
+                      if v.consumed_at = None then v.consumed_at <- Some opi
+                    end
+                    else v.uses <- opi :: v.uses
+                  end
+                end)
+              inputs;
+            (* Data fields. *)
+            let n_data = List.length nt.Spec.data in
+            if Array.length op.Program.data <> n_data then
+              emit
+                (Diag.error ~code:"bad-data-arity" ~site:(op_site opi)
+                   (Printf.sprintf "%s expects %d data field(s), got %d" name n_data
+                      (Array.length op.Program.data)));
+            List.iteri
+              (fun i (dt : Spec.data_ty) ->
+                if i < Array.length op.Program.data then begin
+                  let len = Bytes.length op.Program.data.(i) in
+                  if len > dt.Spec.max_len then
+                    emit
+                      (Diag.error ~code:"data-too-long" ~site:(op_site opi)
+                         (Printf.sprintf "%s data field %d (%s) is %d bytes, bound is %d"
+                            name i dt.Spec.dt_name len dt.Spec.max_len))
+                  else if len = dt.Spec.max_len && dt.Spec.max_len >= hotspot_min_bound
+                  then
+                    emit
+                      (Diag.warning ~code:"data-at-bound" ~site:(op_site opi)
+                         (Printf.sprintf
+                            "%s data field %d (%s) saturates its %d-byte bound: \
+                             mutations cannot grow it"
+                            name i dt.Spec.dt_name dt.Spec.max_len))
+                end)
+              nt.Spec.data;
+            (* No-op interaction: carries data fields, all empty, and neither
+               produces nor consumes values — executing it cannot change the
+               target-visible state (an empty packet is never delivered). *)
+            if
+              n_data > 0
+              && Array.for_all (fun d -> Bytes.length d = 0) op.Program.data
+              && nt.Spec.outputs = [] && nt.Spec.consumes = []
+            then
+              emit
+                (Diag.warning ~code:"noop-interaction" ~site:(op_site opi)
+                   (Printf.sprintf "%s with every data field empty has no effect" name));
+            List.iter
+              (fun ty -> push { ty; producer = opi; uses = []; consumed_at = None })
+              nt.Spec.outputs
+          end)
+      p.Program.ops;
+    (* Dead values: produced but never borrowed or consumed. The op that
+       produced them still ran for a reason (side effects), but the value
+       itself is noise the mutator keeps rebinding to. *)
+    for idx = 0 to !n_values - 1 do
+      let v = !values.(idx) in
+      if v.uses = [] && v.consumed_at = None then
+        emit
+          (Diag.warning ~code:"dead-value" ~site:(op_site v.producer)
+             (Printf.sprintf "value %d (%s) is produced but never borrowed or consumed"
+                idx v.ty.Spec.et_name))
+    done;
+    List.rev !diags
+end
+
+(* [Nyx_analysis.Dataflow.state_path] before the linear pass: the value
+   arrays grow by [Array.append] once per op and the mask is recomputed
+   over every value after each op. *)
+module Dataflow = struct
+  let state_path (p : Program.t) =
+    let n = Array.length p.Program.ops in
+    let path = Array.make (n + 1) 0 in
+    let value_ty = ref [||] in
+    let alive = ref [||] in
+    let mask () =
+      let m = ref 0 in
+      Array.iteri (fun i ty -> if !alive.(i) then m := !m lor (1 lsl ty)) !value_ty;
+      !m
+    in
+    Array.iteri
+      (fun i (op : Program.op) ->
+        (match Spec.node p.Program.spec op.Program.node with
+        | nt when nt.Spec.nt_id <> Spec.snapshot_node_id ->
+          let n_borrows = List.length nt.Spec.borrows in
+          Array.iteri
+            (fun slot v ->
+              if slot >= n_borrows && v >= 0 && v < Array.length !alive then
+                !alive.(v) <- false)
+            op.Program.args;
+          let outs = Array.of_list (List.map (fun e -> e.Spec.et_id) nt.Spec.outputs) in
+          value_ty := Array.append !value_ty outs;
+          alive := Array.append !alive (Array.make (Array.length outs) true)
+        | _ -> ()
+        | exception Invalid_argument _ -> ());
+        path.(i + 1) <- mask ())
+      p.Program.ops;
+    path
+end
+
+(* [Nyx_analysis.Typed_mutators]' splice and generate before
+   count-and-select: splice lists every compatible cut pair and indexes
+   the list's array; generate filters the usable nodes and the live
+   values into lists at every step. *)
+module Typed_mutators = struct
+  open Nyx_sim
+
+  let snap = Spec.snapshot_node_id
+
+  (* Non-snapshot node types the mutator can ever assemble the inputs of
+     (the Spec_lint constructibility fixpoint, shared with State_graph). *)
+  let usable_nodes spec =
+    let nodes = Spec.nodes spec in
+    let constructible, _ = Nyx_analysis.Spec_lint.constructible_nodes nodes in
+    List.filter
+      (fun (nt : Spec.node_ty) -> nt.Spec.nt_id <> snap && constructible.(nt.Spec.nt_id))
+      (Array.to_list nodes)
+
+  let generative spec = List.length (usable_nodes spec) > 1
+
+  (* Cap a candidate to [max_ops] total ops, trimming the tail (the frozen
+     prefix always fits: frozen <= original length <= max_ops). *)
+  let cap_ops max_ops ops =
+    if Array.length ops > max_ops then Array.sub ops 0 max_ops else ops
+
+  (* Repair the affine environment, then verify offline: only clean
+     candidates ever reach the executor. *)
+  let finish rng (p : Program.t) ops =
+    let cand = Program.repair ~rng { p with Program.ops } in
+    if Array.length cand.Program.ops = 0 then None
+    else if Nyx_analysis.Verifier.is_clean cand then Some cand
+    else None
+
+  (* ------------------------------------------------------------------ *)
+  (* Splice: cut at state_path-compatible points.                        *)
+
+  let splice rng (ctx : Mutation_engine.ctx) (p : Program.t) =
+    if Array.length ctx.mx_corpus = 0 then None
+    else begin
+      let frozen = min ctx.mx_frozen (Array.length p.Program.ops) in
+      let donor = Rng.choose rng ctx.mx_corpus in
+      let donor = Program.strip_snapshots donor in
+      let dlen = Array.length donor.Program.ops in
+      if dlen = 0 then None
+      else begin
+        let sa = Dataflow.state_path p in
+        let sb = Dataflow.state_path donor in
+        (* Compatible cut pairs: the abstract state after the kept prefix
+           equals the state the donor suffix was built in, so every edge
+           type the graft needs has at least one live value for repair to
+           bind. The graft must be nonempty. *)
+        let pairs = ref [] in
+        let n_pairs = ref 0 in
+        for i = Array.length p.Program.ops downto frozen do
+          for j = dlen - 1 downto 0 do
+            if sa.(i) = sb.(j) then begin
+              pairs := (i, j) :: !pairs;
+              incr n_pairs
+            end
+          done
+        done;
+        if !n_pairs = 0 then None
+        else begin
+          let cuts = Array.of_list !pairs in
+          let i, j = cuts.(Rng.int rng !n_pairs) in
+          let ops =
+            Array.append
+              (Array.sub p.Program.ops 0 i)
+              (Array.sub donor.Program.ops j (dlen - j))
+          in
+          finish rng p (cap_ops ctx.mx_max_ops ops)
+        end
+      end
+    end
+
+  let splice_mutator =
+    { Mutation_engine.m_name = "splice"; m_base = 1.0; m_fn = splice }
+
+  (* ------------------------------------------------------------------ *)
+  (* Generate: concrete walk over the constructible-opcode transitions.  *)
+
+  (* The affine environment of a walk: live (unconsumed) values by edge
+     type, plus the global value counter arg slots index into. *)
+  type env = { mutable avail : (int * Spec.edge_ty) list; mutable n_values : int }
+
+  let env_mask env =
+    List.fold_left (fun m (_, (et : Spec.edge_ty)) -> m lor (1 lsl et.Spec.et_id)) 0
+      env.avail
+
+  (* Replay [ops] (assumed valid) to seed the environment with the frozen
+     prefix's live values, mirroring Program.validate's accounting. *)
+  let env_of_prefix spec ops =
+    let env = { avail = []; n_values = 0 } in
+    Array.iter
+      (fun (op : Program.op) ->
+        let nt = Spec.node spec op.Program.node in
+        let n_borrows = List.length nt.Spec.borrows in
+        List.iteri
+          (fun i _ ->
+            let v = op.Program.args.(n_borrows + i) in
+            env.avail <- List.filter (fun (v', _) -> v' <> v) env.avail)
+          nt.Spec.consumes;
+        List.iter
+          (fun ty ->
+            env.avail <- (env.n_values, ty) :: env.avail;
+            env.n_values <- env.n_values + 1)
+          nt.Spec.outputs)
+      ops;
+    env
+
+  (* A node is enabled when every input type has enough live values —
+     borrows may share a value, consumes need distinct ones. *)
+  let enabled env (nt : Spec.node_ty) =
+    let have et =
+      List.length
+        (List.filter (fun (_, (e : Spec.edge_ty)) -> e.Spec.et_id = et) env.avail)
+    in
+    List.for_all (fun (et : Spec.edge_ty) -> have et.Spec.et_id >= 1) nt.Spec.borrows
+    && List.for_all
+         (fun (et : Spec.edge_ty) ->
+           let needed =
+             List.length
+               (List.filter
+                  (fun (e : Spec.edge_ty) -> e.Spec.et_id = et.Spec.et_id)
+                  nt.Spec.consumes)
+           in
+           have et.Spec.et_id >= needed)
+         nt.Spec.consumes
+
+  (* Bind one op of type [nt] against the environment and advance it. *)
+  let emit rng dict env (nt : Spec.node_ty) =
+    let pick_of ty exclude =
+      let cands =
+        List.filter
+          (fun (v, (e : Spec.edge_ty)) ->
+            e.Spec.et_id = ty.Spec.et_id && not (List.mem v exclude))
+          env.avail
+      in
+      fst (Rng.choose_list rng cands)
+    in
+    let borrow_args =
+      List.map (fun ty -> pick_of ty []) nt.Spec.borrows
+    in
+    let consumed = ref [] in
+    let consume_args =
+      List.map
+        (fun ty ->
+          let v = pick_of ty !consumed in
+          consumed := v :: !consumed;
+          v)
+        nt.Spec.consumes
+    in
+    env.avail <- List.filter (fun (v, _) -> not (List.mem v !consumed)) env.avail;
+    let data =
+      Array.of_list
+        (List.map
+           (fun (dt : Spec.data_ty) ->
+             if dict <> [] && Rng.chance rng 0.5 then begin
+               let tok = Rng.choose_list rng dict in
+               if Bytes.length tok > dt.Spec.max_len then
+                 Bytes.sub tok 0 dt.Spec.max_len
+               else tok
+             end
+             else Rng.bytes rng (Rng.int rng (min 64 (dt.Spec.max_len + 1))))
+           nt.Spec.data)
+    in
+    List.iter
+      (fun ty ->
+        env.avail <- (env.n_values, ty) :: env.avail;
+        env.n_values <- env.n_values + 1)
+      nt.Spec.outputs;
+    { Program.node = nt.Spec.nt_id; args = Array.of_list (borrow_args @ consume_args); data }
+
+  let generate ~usable ~reachable rng (ctx : Mutation_engine.ctx) (p : Program.t) =
+    let frozen = min ctx.mx_frozen (Array.length p.Program.ops) in
+    let room = ctx.mx_max_ops - frozen in
+    if room <= 0 then None
+    else begin
+      let prefix = Array.sub p.Program.ops 0 frozen in
+      let env = env_of_prefix p.Program.spec prefix in
+      (* Half the walks steer toward a random reachable abstract state (a
+         state-reaching prefix for later mutation rounds to build on);
+         the other half wander freely. *)
+      let target =
+        if Array.length reachable > 0 && Rng.bool rng then
+          Some (Rng.choose rng reachable)
+        else None
+      in
+      let len = 1 + Rng.int rng room in
+      let out = ref [] in
+      (try
+         for _ = 1 to len do
+           let en = List.filter (enabled env) usable in
+           if en = [] then raise Exit;
+           let nt =
+             match target with
+             | Some tgt ->
+               let missing = tgt land lnot (env_mask env) in
+               let productive =
+                 List.filter
+                   (fun (nt : Spec.node_ty) ->
+                     List.exists
+                       (fun (et : Spec.edge_ty) ->
+                         missing land (1 lsl et.Spec.et_id) <> 0)
+                       nt.Spec.outputs)
+                   en
+               in
+               if productive <> [] && Rng.chance rng 0.75 then
+                 Rng.choose_list rng productive
+               else Rng.choose_list rng en
+             | None -> Rng.choose_list rng en
+           in
+           out := emit rng ctx.mx_dict env nt :: !out
+         done
+       with Exit -> ());
+      match !out with
+      | [] -> None
+      | ops ->
+        finish rng p (Array.append prefix (Array.of_list (List.rev ops)))
+    end
+
+  let generate_mutator spec =
+    if not (generative spec) then
+      invalid_arg
+        (Printf.sprintf
+           "Typed_mutators.generate_mutator: spec %S is dynamic-degenerate \
+            (single constructible opcode); use the havoc fallback"
+           (Spec.name spec));
+    let usable = usable_nodes spec in
+    let graph = Nyx_analysis.State_graph.build spec in
+    (* Exclude the empty start state: reaching it requires no prefix. *)
+    let reachable =
+      Array.of_list (List.filter (fun m -> m <> 0) (Nyx_analysis.State_graph.reachable graph))
+    in
+    {
+      Mutation_engine.m_name = "generate";
+      m_base = 0.35;
+      m_fn = generate ~usable ~reachable;
+    }
+end

@@ -23,16 +23,22 @@ let measured_with = "5.1.1"
 type case = {
   c_name : string;
   target : string;
+  policy : Policy.kind;
+  engine : Engines.kind;
   budget_ns : int;
   words_per_exec : float;  (* measured, at [measured_with] *)
 }
 
 let cases =
   [
-    { c_name = "lightftp balanced+havoc"; target = "lightftp"; budget_ns = 4_000_000_000;
-      words_per_exec = 836.9 };
-    { c_name = "echo balanced+havoc"; target = "echo"; budget_ns = 4_000_000_000;
-      words_per_exec = 822.4 };
+    { c_name = "lightftp balanced+havoc"; target = "lightftp"; policy = Policy.Balanced;
+      engine = Engines.Havoc; budget_ns = 4_000_000_000; words_per_exec = 821.3 };
+    { c_name = "echo balanced+havoc"; target = "echo"; policy = Policy.Balanced;
+      engine = Engines.Havoc; budget_ns = 4_000_000_000; words_per_exec = 812.8 };
+    (* The typed engine's splice, generate, repair and verifier, and the
+       dynamic policy's boundary probes. *)
+    { c_name = "proftpd dynamic+typed"; target = "proftpd"; policy = Policy.Dynamic;
+      engine = Engines.Typed; budget_ns = 4_000_000_000; words_per_exec = 755.4 };
   ]
 
 let headroom = 1.10
@@ -44,8 +50,8 @@ let measure c =
   let cfg =
     {
       Campaign.default_config with
-      Campaign.policy = Policy.Balanced;
-      engine = Engines.Havoc;
+      Campaign.policy = c.policy;
+      engine = c.engine;
       budget_ns = c.budget_ns;
       max_execs = max_int;
       seed = 7;

@@ -444,6 +444,143 @@ let test_dataflow_snapshot_past_last_transition () =
   Alcotest.(check bool) "well-placed snapshot is quiet" false
     (has_code "snapshot-past-last-transition" ok)
 
+(* --- equivalence with the list-based references (test/reference.ml) --- *)
+
+(* Borrows and consumes of one type in one op, two consumes of a type,
+   several outputs, and a data bound the hotspot warning applies to. *)
+let mixed_spec () =
+  let b = Spec.start "mixed" in
+  let a = Spec.edge_type b "a" and bt = Spec.edge_type b "b" in
+  let d = Spec.data_type b ~max_len:8 "d" and m = Spec.data_type b ~max_len:2 "m" in
+  ignore (Spec.node_type b ~outputs:[ a ] "mk_a");
+  ignore (Spec.node_type b ~outputs:[ a; bt ] ~data:[ m ] "mk_ab");
+  ignore (Spec.node_type b ~borrows:[ a ] ~data:[ d ] "use");
+  ignore (Spec.node_type b ~consumes:[ a; a ] ~outputs:[ bt ] "merge");
+  ignore
+    (Spec.node_type b ~borrows:[ bt; a ] ~consumes:[ a ] ~outputs:[ a ] ~data:[ d; m ]
+       "cross");
+  ignore (Spec.node_type b ~consumes:[ bt ] "kill");
+  Spec.finalize b
+
+(* domain-safe: test-only lazy fixtures, forced on a single domain *)
+let equiv_specs =
+  lazy
+    [|
+      (net ()).Net_spec.spec;
+      (Net_spec.create ~max_payload:8 ()).Net_spec.spec;
+      mixed_spec ();
+    |]
+
+(* Random op soups: unknown opcodes, stray and repeated snapshots, wrong
+   arity, dangling, mistyped and double-consumed args, missing, extra and
+   over-long data fields. *)
+let soup_gen =
+  QCheck.Gen.(
+    triple (int_bound 2) (int_bound 1_000_000)
+      (list_size (int_range 0 20)
+         (triple (int_range (-1) 7)
+            (list_size (int_range 0 4) (int_range (-1) 10))
+            (list_size (int_range 0 3) (string_size ~gen:printable (int_range 0 10))))))
+
+let soup (spec_idx, _, raw) =
+  {
+    Program.spec = (Lazy.force equiv_specs).(spec_idx);
+    ops =
+      Array.of_list
+        (List.map
+           (fun (node, args, data) ->
+             {
+               Program.node;
+               args = Array.of_list args;
+               data = Array.of_list (List.map Bytes.of_string data);
+             })
+           raw);
+  }
+
+(* [p] with one argument rebound to another value index: most often a
+   program whose only error is one type mismatch, use after consume or
+   dangling argument. *)
+let rebind_one seed (p : Program.t) =
+  let ops = Array.copy p.Program.ops in
+  let indices = List.init (Array.length ops) Fun.id in
+  match List.filter (fun i -> ops.(i).Program.args <> [||]) indices with
+  | [] -> p
+  | with_args ->
+    let i = List.nth with_args (seed mod List.length with_args) in
+    let args = Array.copy ops.(i).Program.args in
+    args.(seed / 7 mod Array.length args) <- (seed / 13 mod 12) - 1;
+    ops.(i) <- { (ops.(i)) with Program.args };
+    { p with Program.ops }
+
+(* A soup, its repair (valid, so mostly clean) and the repair with one
+   argument rebound. *)
+let soups ((_, seed, _) as s) =
+  let p = soup s in
+  let repaired = Program.repair ~rng:(Nyx_sim.Rng.create seed) p in
+  [ p; repaired; rebind_one seed repaired ]
+
+let soup_arb =
+  QCheck.make
+    ~print:QCheck.Print.(triple int int (list (triple int (list int) (list string))))
+    soup_gen
+
+let prop_state_path_matches_reference =
+  QCheck.Test.make ~name:"state_path == reference" ~count:1000 soup_arb
+    (fun s ->
+      List.for_all
+        (fun p -> Dataflow.state_path p = Reference.Dataflow.state_path p)
+        (soups s))
+
+let prop_verifier_single_walk =
+  QCheck.Test.make
+    ~name:"is_clean = (errors = [])"
+    ~count:1000 soup_arb (fun s ->
+      List.for_all
+        (fun p ->
+          let all = Verifier.check p in
+          Verifier.is_clean p = (Verifier.errors p = [])
+          && all = Reference.Verifier.check p
+          && Verifier.errors p = List.filter Diag.is_error all)
+        (soups s))
+
+(* From equal RNG states, the count-and-select mutators return the same
+   candidate as the list-based ones and leave the RNG in the same state. *)
+let prop_typed_mutators_match_reference =
+  let module R = Reference.Typed_mutators in
+  QCheck.Test.make ~name:"splice/generate == reference"
+    ~count:1000
+    QCheck.(quad soup_arb (list_of_size Gen.(int_range 0 5) soup_arb) (int_bound 24)
+              (int_range 1 30))
+    (fun (s, donors, frozen, max_ops) ->
+      let spec_idx, seed, _ = s in
+      let valid s' = Program.repair (soup s') in
+      let p = valid s in
+      let spec = p.Program.spec in
+      let ctx =
+        {
+          Mutation_engine.mx_frozen = min frozen (min max_ops (Array.length p.Program.ops));
+          mx_max_ops = max_ops;
+          mx_dict =
+            (if seed land 1 = 0 then []
+             else [ Bytes.of_string "USER"; Bytes.of_string "a-long-token" ]);
+          mx_corpus =
+            Array.of_list
+              (List.map
+                 (fun (_, sd, raw) ->
+                   Program.with_snapshot_at (valid (spec_idx, sd, raw)) (sd mod 4))
+                 donors);
+        }
+      in
+      let same f g =
+        let r1 = Nyx_sim.Rng.create seed and r2 = Nyx_sim.Rng.create seed in
+        let a = f r1 ctx p and b = g r2 ctx p in
+        Option.map (fun q -> q.Program.ops) a = Option.map (fun q -> q.Program.ops) b
+        && Nyx_sim.Rng.state r1 = Nyx_sim.Rng.state r2
+      in
+      same Typed_mutators.splice_mutator.Mutation_engine.m_fn R.splice
+      && same (Typed_mutators.generate_mutator spec).Mutation_engine.m_fn
+           (R.generate_mutator spec).Mutation_engine.m_fn)
+
 let () =
   Alcotest.run "nyx_analysis"
     [
@@ -513,5 +650,11 @@ let () =
           Alcotest.test_case "redundant-prefix" `Quick test_dataflow_redundant_prefix;
           Alcotest.test_case "snapshot-past-last-transition" `Quick
             test_dataflow_snapshot_past_last_transition;
+        ] );
+      ( "reference",
+        [
+          QCheck_alcotest.to_alcotest prop_state_path_matches_reference;
+          QCheck_alcotest.to_alcotest prop_verifier_single_walk;
+          QCheck_alcotest.to_alcotest prop_typed_mutators_match_reference;
         ] );
     ]

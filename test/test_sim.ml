@@ -204,6 +204,16 @@ let prop_rng_int_in_range =
       let v = Rng.int r bound in
       v >= 0 && v < bound)
 
+let prop_weighted_index_is_weighted =
+  QCheck.Test.make ~name:"weighted_index == weighted over (index, weight) pairs" ~count:500
+    QCheck.(pair int (list_of_size Gen.(int_range 1 6) (float_range 0.0 3.0)))
+    (fun (seed, ws) ->
+      QCheck.assume (List.fold_left ( +. ) 0.0 ws > 0.0);
+      let r1 = Rng.create seed and r2 = Rng.create seed in
+      Rng.weighted_index r1 (Array.of_list ws)
+      = Rng.weighted r2 (List.mapi (fun i w -> (i, w)) ws)
+      && Rng.state r1 = Rng.state r2)
+
 let prop_median_between_min_max =
   QCheck.Test.make ~name:"median lies within range" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 20) (float_bound_inclusive 1000.0))
@@ -242,6 +252,7 @@ let () =
           Alcotest.test_case "golden stream" `Quick test_rng_golden;
           Alcotest.test_case "state roundtrip" `Quick test_rng_state_roundtrip;
           QCheck_alcotest.to_alcotest prop_rng_int_in_range;
+          QCheck_alcotest.to_alcotest prop_weighted_index_is_weighted;
         ] );
       ( "stats",
         [
